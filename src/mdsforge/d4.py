@@ -18,17 +18,6 @@ from .rings import (MultiPoly, ParamPoly, PP_ONE, QuadValue, RationalFunction,
 # the explicit function and its normalized form
 # ---------------------------------------------------------------------------
 
-def explicit_z() -> RationalFunction:
-    """Z(z1,z2,z3,z4;q) = N/D from the hard-coded tables."""
-    num = MultiPoly(4)
-    for e1, e2, e3, e4, a, c in d4data.NUM_TERMS:
-        num += MultiPoly.monomial(4, (e1, e2, e3, e4), ParamPoly.q_power(a, c))
-    den = []
-    for a, e in d4data.DEN_FACTORS:
-        den.append(MultiPoly.const(4, 1) - MultiPoly.monomial(4, e, ParamPoly.q_power(a)))
-    return RationalFunction(num, den)
-
-
 def explicit_f() -> RationalFunction:
     """f(z;q) = Z(q z1, q z2, q z3, q z4; 1/q) -- the invariant normalization.
 
@@ -43,10 +32,6 @@ def explicit_f() -> RationalFunction:
         den.append(MultiPoly.const(4, 1)
                    - MultiPoly.monomial(4, e, ParamPoly.q_power(sum(e) - a)))
     return RationalFunction(num, den)
-
-
-def f_denominator_factors():
-    return tuple(explicit_f().den)
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +394,6 @@ def _geom_univ(coeffs, caps_n, ratio_exp, ratio_coef, power=1):
                 out[j + k * ratio_exp] = out[j + k * ratio_exp] + c * w
         ck = ck * ratio_coef
         k += 1
-    return out
-
-
-def _series_div_units(num_coeffs, n_max, q: int, degp: int):
-    """num / ((1-z^2)^7 (1-qloc z^4)) with z = t^degp, over Q(sqrt q)."""
-    qloc = QuadValue(q, Fraction(q) ** degp, 0)
-    out = _geom_univ(num_coeffs, n_max, 2 * degp, QuadValue(q, 1, 0), power=7)
-    out = _geom_univ(out, n_max, 4 * degp, qloc, power=1)
     return out
 
 

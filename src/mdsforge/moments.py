@@ -78,8 +78,17 @@ def store_moment(cache_dir: str, q: int, D: int, value: QuadValue) -> str:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     doc = {"q": q, "D": D, "a": str(value.a), "b": str(value.b),
            "hash": _moment_hash(q, D, value.a, value.b)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+    # write a temp file beside the target and rename it into place, so an
+    # interrupted write never leaves a partial cache file at ``path``
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 

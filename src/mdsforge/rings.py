@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import isqrt
+from operator import add, sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -68,9 +69,6 @@ class ParamPoly:
 
     def is_one(self) -> bool:
         return self.half == {0: ONE}
-
-    def has_integer_exponents(self) -> bool:
-        return all(k % 2 == 0 for k in self.half)
 
     def __add__(self, other):
         if not isinstance(other, ParamPoly):
@@ -274,9 +272,6 @@ class MultiPoly:
             b = b * b
             k >>= 1
         return r
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def substitute_zero(self, var: int) -> "MultiPoly":
         out = {}
@@ -551,71 +546,24 @@ class TruncSeries:
         return r
 
     def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            return self.mul_poly(other)
+        """Product with a scalar, a MultiPoly or another TruncSeries, truncating."""
         if isinstance(other, (int, Fraction, ParamPoly)):
             c0 = other if isinstance(other, ParamPoly) else ParamPoly.const(other)
             r = self.clone_empty()
             if not c0.is_zero():
                 r.terms = {e: c * c0 for e, c in self.terms.items()}
             return r
-        out = {}
-        keep = self._keep
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if not keep(e):
-                    continue
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        r = self.clone_empty()
-        r.terms = out
-        return r
+        return self.mul_poly(other)
 
     def mul_geometric(self, exps, coef: ParamPoly, power: int = 1):
-        """Multiply by (1 - coef*z**exps)**(-power), truncating.
-
-        The factor monomial must have positive total degree (expansion at the
-        origin).
-        """
-        deg = sum(exps)
-        if deg <= 0:
-            raise ValueError("geometric factor needs positive total degree")
-        # max number of steps within the cutoff
-        kmax = self.total // deg
-        if self.caps is not None:
-            for e, cap in zip(exps, self.caps):
-                if e:
-                    kmax = min(kmax, cap // e)
-        cur = self
-        out = dict(self.terms)
-        # binomial weights C(k+power-1, power-1)
-        weight = 1
-        ck = coef
-        for k in range(1, kmax + 1):
-            weight = weight * (k + power - 1) // k
-            shift = tuple(x * k for x in exps)
-            w = ck * weight
-            keep = self._keep
-            for e1, c1 in self.terms.items():
-                e = tuple(a + b for a, b in zip(e1, shift))
-                if not keep(e):
-                    continue
-                c = c1 * w
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-            ck = ck * coef
+        """Multiply by (1 - coef*z**exps)**(-power), truncating: ``power``
+        passes of the ``expand`` recurrence."""
+        terms = _exact_terms(self.terms)
+        c = _exact_coeffs(coef.half)
+        for _ in range(power):
+            terms = _geometric_pass(terms, exps, c, self.total, self.caps)
         r = self.clone_empty()
-        r.terms = out
+        r.terms = _param_terms(terms)
         return r
 
     def coefficient(self, exps) -> ParamPoly:
@@ -630,6 +578,55 @@ class TruncSeries:
 
     def __eq__(self, other):
         return isinstance(other, TruncSeries) and self.terms == other.terms
+
+
+def _exact_coeffs(half):
+    """ParamPoly coefficients with the integral Fractions turned into ints."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in half.items()}
+
+
+def _exact_terms(terms):
+    return {e: _exact_coeffs(c.half) for e, c in terms.items()}
+
+
+def _param_terms(terms):
+    return {e: ParamPoly({k: Fraction(c) for k, c in half.items()})
+            for e, half in terms.items()}
+
+
+def _geometric_pass(terms, exps, coef, total, caps):
+    """Divide {exponent: {half_exponent: coefficient}} terms by the unit
+    1 - coef*z**exps, truncated to ``total`` and ``caps``.
+
+    Each chain e, e + s, e + 2s, ... (s = exps) is walked once, from its
+    lowest term, with out[e] = terms[e] + coef*out[e - s].
+    """
+    deg = sum(exps)
+    if deg <= 0 or min(exps) < 0:
+        raise ValueError("geometric factor needs exponents >= 0, total degree > 0")
+    moving = [i for i, k in enumerate(exps) if k]
+    out = {}
+    for start in sorted(terms):
+        # a nonzero predecessor means an earlier walk already passed here
+        if tuple(map(sub, start, exps)) in out:
+            continue
+        steps = (total - sum(start)) // deg
+        if caps is not None:
+            steps = min([steps] + [(caps[i] - start[i]) // exps[i] for i in moving])
+        acc = {}
+        e = start
+        for _ in range(steps + 1):
+            nxt = {}
+            for hc, vc in coef.items():
+                for h, v in acc.items():
+                    nxt[h + hc] = nxt.get(h + hc, 0) + v * vc
+            for h, v in terms.get(e, {}).items():
+                nxt[h] = nxt.get(h, 0) + v
+            acc = {h: v for h, v in nxt.items() if v}
+            if acc:
+                out[e] = acc
+            e = tuple(map(add, e, exps))
+    return out
 
 
 def _unit_factor_parts(f: MultiPoly):
@@ -649,8 +646,16 @@ def _unit_factor_parts(f: MultiPoly):
 def expand(rf: RationalFunction, total, caps=None, provenance="expand") -> TruncSeries:
     """Taylor expansion of a rational function whose den factors are
     ``const * (1 - c*monomial)`` units.  Rejects denominators vanishing at 0.
+
+    Each unit 1 - c*z**s is divided out by one linear recurrence pass,
+    out[e] = num[e] + c*out[e - s], along every chain e, e + s, e + 2s, ...
+    in order of increasing total degree.  The passes run on plain
+    {half_exponent: coefficient} dicts: integral coefficients are ints, so the
+    work is over Z wherever the data are integral (as for the rank-4
+    function); others stay Fractions.  ParamPoly is rebuilt once at the end.
     """
     series = TruncSeries.from_poly(rf.num, total, caps, provenance=provenance)
+    terms = _exact_terms(series.terms)
     const = PP_ONE
     for f in rf.den:
         parts = _unit_factor_parts(f)
@@ -667,7 +672,8 @@ def expand(rf: RationalFunction, total, caps=None, provenance="expand") -> Trunc
         if len(rest) != 1:
             raise ValueError("denominator factor is not a binomial unit")
         exps, coef = rest[0]
-        series = series.mul_geometric(exps, coef)
+        terms = _geometric_pass(terms, exps, _exact_coeffs(coef.half), total, series.caps)
+    series.terms = _param_terms(terms)
     if not const.is_one():
         inv = ONE / const.constant_value()
         series = series * inv
@@ -782,9 +788,6 @@ class QuadValue:
 
     def is_zero(self) -> bool:
         return not self.a and not self.b
-
-    def is_rational(self) -> bool:
-        return not self.b
 
     def __repr__(self):
         if not self.b:
@@ -997,9 +1000,6 @@ class QuarticValue:
         """Complex conjugation i -> -i (q**(1/4) stays real)."""
         return QuarticValue(self.q, tuple(_Gauss(c.re, -c.im) for c in self.coeffs))
 
-    def real_part(self) -> "QuarticValue":
-        return QuarticValue(self.q, tuple(_Gauss(c.re) for c in self.coeffs))
-
     def __eq__(self, other):
         try:
             o = self._coerce(other)
@@ -1046,11 +1046,6 @@ def rho_value(q: int, rho: str) -> QuarticValue:
 
 
 RHO_CLASSES = ("1", "-1", "i", "-i")
-
-
-def rho_theta_prime(rho: str) -> str:
-    """The unit class attached to a pole class: real rho -> 1, imaginary -> theta0."""
-    return "1" if rho in ("1", "-1") else "theta0"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Extraction layer: coefficient laws, correction polynomials, centre
 specializations, local factors."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -26,6 +27,16 @@ def test_a_table_outer_symmetry():
         base = d4.a_coeff(k1, k2, k3, l, 8)
         for perm in itertools.permutations((k1, k2, k3)):
             assert d4.a_coeff(*perm, l, 8) == base
+
+
+def test_f_series_capped_pinned():
+    # term-for-term fingerprint of the expansion every correction polynomial
+    # is sliced from; a change to the expansion kernel must leave it intact
+    series = d4.f_series_capped(12, 10)
+    pairs = sorted((e, sorted(c.half.items())) for e, c in series.terms.items())
+    assert len(pairs) == 13552
+    assert (hashlib.sha256(repr(pairs).encode()).hexdigest()
+            == "057153de8989084f3af7a00c1747a13973cdf73da9d8759d8f31ad079d68b800")
 
 
 def test_a_coeff_cutoff_guard():

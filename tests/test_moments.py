@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,18 @@ def test_cache_roundtrip_and_tamper(tmp_path):
     with pytest.raises(ValueError, match="hash"):
         moments.load_moment(str(tmp_path), 5, 2)
     assert moments.load_moment(str(tmp_path), 5, 9) is None
+
+
+def test_store_moment_interrupted_leaves_nothing(tmp_path, monkeypatch):
+    def broken_dump(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(moments.json, "dump", broken_dump)
+    with pytest.raises(KeyboardInterrupt):
+        moments.store_moment(str(tmp_path), 5, 2, QuadValue(5, 1, 2))
+    path = moments.moment_cache_path(str(tmp_path), 5, 2)
+    assert not os.path.exists(path)
+    assert os.listdir(os.path.dirname(path)) == []
+    assert moments.load_moment(str(tmp_path), 5, 2) is None
 
 
 def test_euler_product_tail_honored():

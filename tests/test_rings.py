@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from mdsforge.rings import (MultiPoly, ParamPoly, PP_ONE, QuadValue,
-                            QuarticValue, RationalFunction,
+                            QuarticValue, RationalFunction, TruncSeries,
                             expand, rat_equal, tower_eval, tower_float)
 
 
@@ -60,6 +61,60 @@ def test_expand_is_ring_homomorphism():
         lhs = expand(f * g, 4)
         rhs = expand(f, 4) * expand(g, 4)
         assert lhs.terms == rhs.truncate(4).terms
+
+
+def _random_fraction_parampoly(rng):
+    out = ParamPoly()
+    while out.is_zero():
+        for _ in range(rng.randint(1, 3)):
+            coef = Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+            out = out + ParamPoly.q_power(rng.randint(-3, 3), coef, half_units=True)
+    return out
+
+
+def test_expand_times_denominator_is_numerator():
+    # algebraic oracle: (num / den) expanded, times den, is num -- under
+    # per-variable caps, with repeated units, multi-term and non-integral
+    # coefficients, and a constant factor in the denominator
+    rng = random.Random(11)
+    n = 3
+    one = MultiPoly.const(n, 1)
+    for _ in range(25):
+        num = MultiPoly(n)
+        for _ in range(rng.randint(1, 5)):
+            exps = tuple(rng.randint(0, 2) for _ in range(n))
+            num = num + MultiPoly.monomial(n, exps, _random_fraction_parampoly(rng))
+        den = []
+        for _ in range(rng.randint(1, 4)):
+            exps = (0,) * n
+            while not any(exps):
+                exps = tuple(rng.randint(0, 2) for _ in range(n))
+            unit = one - MultiPoly.monomial(n, exps, _random_fraction_parampoly(rng))
+            den.extend([unit] * rng.randint(1, 3))
+        if rng.random() < 0.3:
+            den.append(MultiPoly.const(n, Fraction(rng.randint(1, 6), rng.randint(1, 4))))
+        f = RationalFunction(num, den)
+        total = rng.randint(4, 9)
+        caps = tuple(rng.randint(2, 6) for _ in range(n))
+        series = expand(f, total, caps)
+        for c in series.terms.values():
+            assert c.half and all(type(v) is Fraction and v for v in c.half.values())
+        back = series.mul_poly(f.den_expanded())
+        assert back == TruncSeries.from_poly(f.num, total, caps)
+
+
+def test_mul_geometric_matches_binomial_sum():
+    # (1 - c z^s)^-3 = sum_k C(k+2, 2) c^k z^(k s)
+    rng = random.Random(4)
+    exps = (1, 2)
+    c = ParamPoly.q_power(1, Fraction(2, 3)) + ParamPoly.q_power(-1, -1, half_units=True)
+    total, caps = 14, (6, 11)
+    binomial = MultiPoly(2)
+    for k in range(8):
+        binomial = binomial + MultiPoly.monomial(2, (k, 2 * k), c ** k * math.comb(k + 2, 2))
+    for _ in range(5):
+        start = TruncSeries.from_poly(_random_multipoly(rng) + 1, total, caps)
+        assert start.mul_geometric(exps, c, power=3) == start.mul_poly(binomial)
 
 
 def test_truncation_consistency():
