@@ -83,6 +83,27 @@ def _certify_poly_outer(slice_terms, cap_outer, margin=2):
     return observed
 
 
+def _clear_geometric(terms, variables, cap):
+    """Multiply {exponent: ParamPoly} by the product of (1 - z_i) over
+    ``variables``, keeping exponents <= cap: one shifted difference
+    out[e + u_i] -= c per variable, taken only while e_i < cap.
+
+    The slices are truncated at the cap, so the product is exact only there.
+    """
+    for i in variables:
+        out = dict(terms)
+        for e, c in terms.items():
+            if e[i] < cap:
+                f = e[:i] + (e[i] + 1,) + e[i + 1:]
+                s = out[f] - c if f in out else -c
+                if s.is_zero():
+                    del out[f]
+                else:
+                    out[f] = s
+        terms = out
+    return terms
+
+
 @lru_cache(maxsize=None)
 def p_poly(l: int, cap_outer: int = 12, cap_center: int = 10) -> MultiPoly:
     """The symmetric polynomial in (z1,z2,z3) multiplying z4**l.
@@ -93,22 +114,11 @@ def p_poly(l: int, cap_outer: int = 12, cap_center: int = 10) -> MultiPoly:
     if l > cap_center:
         raise ValueError(f"l={l} beyond central cap {cap_center}")
     series = f_series_capped(cap_outer, cap_center)
-    slice3 = MultiPoly(3)
-    for e, c in series.terms.items():
-        if e[3] == l:
-            slice3 += MultiPoly.monomial(3, e[:3], c)
+    terms = {e[:3]: c for e, c in series.terms.items() if e[3] == l}
     if l % 2 == 0:
-        for var in range(3):
-            unit = MultiPoly.const(3, 1) - MultiPoly.monomial(3, tuple(1 if i == var else 0 for i in range(3)), PP_ONE)
-            slice3 = slice3 * unit
-        # clearing the geometric prefactor on truncated data leaves junk in
-        # the top margin layers; drop anything beyond the cap minus margin + l? no:
-        # the product of a truncated series with the unit is exact only below the cap,
-        # so restrict to exponents within the caps
-        slice3 = MultiPoly(3, {e: c for e, c in slice3.terms.items()
-                               if max(e) <= cap_outer})
-    _certify_poly_outer(slice3.terms, cap_outer)
-    return slice3
+        terms = _clear_geometric(terms, range(3), cap_outer)
+    _certify_poly_outer(terms, cap_outer)
+    return MultiPoly(3, terms)
 
 
 @lru_cache(maxsize=None)
@@ -117,20 +127,14 @@ def q_poly(k1: int, k2: int, k3: int, cap_outer: int = 12, cap_center: int = 10)
     if max(k1, k2, k3) > cap_outer:
         raise ValueError("outer index beyond cap")
     series = f_series_capped(cap_outer, cap_center)
-    sl = MultiPoly(1)
-    for e, c in series.terms.items():
-        if e[:3] == (k1, k2, k3):
-            sl += MultiPoly.monomial(1, (e[3],), c)
+    terms = {e[3:]: c for e, c in series.terms.items() if e[:3] == (k1, k2, k3)}
     if (k1 + k2 + k3) % 2 == 0:
-        unit = MultiPoly.const(1, 1) - MultiPoly.monomial(1, (1,), PP_ONE)
-        sl = sl * unit
-        sl = MultiPoly(1, {e: c for e, c in sl.terms.items() if e[0] <= cap_center})
-    degs = [e[0] for e in sl.terms] or [0]
-    observed = max(degs)
+        terms = _clear_geometric(terms, (0,), cap_center)
+    observed = max((e[0] for e in terms), default=0)
     if observed > cap_center - 2:
         raise StabilizationError(
             f"cutoff too small: central degree {observed} at cap {cap_center}")
-    return sl
+    return MultiPoly(1, terms)
 
 
 def check_pq_functional_eqs(l_max: int = 8, k_max: int = 8):

@@ -196,12 +196,6 @@ class FqField:
             self.chi2[a] = 1 if self.is_square[a] else -1
 
     # -- element ops -----------------------------------------------------
-    def add_el(self, a, b):
-        return self.addtab[a][b]
-
-    def mul_el(self, a, b):
-        return self.mul[a][b]
-
     def pow_el(self, a, n):
         r = 1
         while n:
@@ -256,10 +250,6 @@ def padd(F: FqField, a, b):
 def pneg(F: FqField, a):
     neg = F.neg
     return tuple(neg[c] for c in a)
-
-
-def psub(F: FqField, a, b):
-    return padd(F, a, pneg(F, b))
 
 
 def pmul(F: FqField, a, b):
@@ -547,10 +537,6 @@ def euler_phi(F: FqField, m) -> int:
     return total
 
 
-def poly_norm(F: FqField, m) -> int:
-    return F.q ** deg(m)
-
-
 # -- quadratic symbol ---------------------------------------------------------
 
 def kronecker(F: FqField, d, m) -> int:
@@ -596,15 +582,6 @@ def kronecker_factored(F: FqField, d, m) -> int:
     return result
 
 
-def coprime_part(F: FqField, m, d0):
-    """The part of m coprime to d0 (divide out every shared irreducible)."""
-    while True:
-        g = pgcd_monic(F, m, d0)
-        if deg(g) == 0:
-            return m
-        m = pdivmod(F, m, g)[0]
-
-
 def divisors_monic(F: FqField, m):
     """All monic divisors of m."""
     unit, fs = factor(F, m)
@@ -634,7 +611,3 @@ def poly_str(m) -> str:
         else:
             bits.append(f"x^{k}" if c == 1 else f"{c}*x^{k}")
     return " + ".join(bits)
-
-
-def poly_from_coeffs(coeffs):
-    return trim(tuple(coeffs))

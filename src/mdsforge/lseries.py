@@ -170,6 +170,24 @@ class LPolynomial:
     def sgn(self) -> int:
         return 1 if self.F.is_square[self.unit] else -1
 
+    def central_parts(self):
+        """Integers (A, B, k) with L(q**(-1/2)) = (A + B*sqrt q) / q**k and
+        k = D // 2; constant conductors have no such form."""
+        if self.special:
+            raise ValueError("constant conductor: use central_value()")
+        q = self.F.q
+        k = self.conductor_degree // 2
+        # c_n q**(-n/2) is c_n q**(k - n/2) / q**k for even n and
+        # c_n q**(k - (n+1)/2) sqrt(q) / q**k for odd n; n <= D - 1 keeps
+        # both exponents >= 0
+        a = b = 0
+        for n, c in enumerate(self.coeffs):
+            if n % 2:
+                b += c * q ** (k - (n + 1) // 2)
+            else:
+                a += c * q ** (k - n // 2)
+        return a, b, k
+
     def central_value(self) -> QuadValue:
         """L at u = q**(-1/2), exactly in Q(sqrt q)."""
         q = self.F.q
@@ -177,14 +195,8 @@ class LPolynomial:
             return 1 / (1 - QuadValue.sqrt_q(q))
         if self.special == "minus":
             return 1 / (1 + QuadValue.sqrt_q(q))
-        a = Fraction(0)
-        b = Fraction(0)
-        for n, c in enumerate(self.coeffs):
-            if n % 2 == 0:
-                a += Fraction(c, q ** (n // 2))
-            else:
-                b += Fraction(c, q ** ((n + 1) // 2))
-        return QuadValue(q, a, b)
+        a, b, k = self.central_parts()
+        return QuadValue(q, Fraction(a, q ** k), Fraction(b, q ** k))
 
     def eval_u(self, u):
         """Evaluate the polynomial at a numeric/complex u."""
@@ -198,32 +210,21 @@ def _fe_complete(F: FqField, sgn: int, D: int, lower):
     """Extend c_0..c_h to the full coefficient list via the functional
     equation; exact integer arithmetic throughout."""
     q = F.q
-    deg_l = D - 1
-    c = {n: Fraction(v) for n, v in enumerate(lower)}
-
-    def get(n):
-        if n < 0 or n > deg_l:
-            return Fraction(0)
-        return c[n]
-
+    c = list(lower) + [0] * (D - len(lower))
     if D % 2 == 1:
         half = (D - 1) // 2
         for k in range(half + 1):
-            c[deg_l - k] = Fraction(q) ** (half - k) * get(k)
+            c[D - 1 - k] = q ** (half - k) * c[k]
     else:
-        # L(u) (u - sgn/q) = q^(D/2-1) (1 - sgn u) sum_k c_k q^-k u^(D-1-k)
-        scale = Fraction(q) ** (D // 2 - 1)
+        # L(u) (u - sgn/q) = q^(D/2-1) (1 - sgn u) sum_k c_k q^-k u^(D-1-k);
+        # times q: q c_(j-1) = q^(j-D/2) (q c_(D-1-j) - sgn c_(D-j)) + sgn c_j,
+        # where c_(-1) = c_D = 0
         for j in range(D, D // 2, -1):
-            rhs = scale * (get(D - 1 - j) * Fraction(1, q) ** (D - 1 - j)
-                           - sgn * get(D - j) * Fraction(1, q) ** (D - j))
-            c[j - 1] = rhs + Fraction(sgn, q) * get(j)
-    out = []
-    for n in range(deg_l + 1):
-        v = c[n]
-        if v.denominator != 1:
-            raise ArithmeticError("functional-equation completion left a denominator")
-        out.append(int(v))
-    return out
+            lo, hi = (q * c[D - 1 - j], c[j]) if j < D else (0, 0)
+            c[j - 1], rem = divmod(q ** (j - D // 2) * (lo - sgn * c[D - j]) + sgn * hi, q)
+            if rem:
+                raise ArithmeticError("functional-equation completion left a denominator")
+    return c
 
 
 def l_polynomial(F: FqField, b0, unit: int = 1, mode: str = "fe_completed") -> LPolynomial:

@@ -83,22 +83,6 @@ def a_eval(k1: int, k2: int, k3: int, l: int, qp: int) -> int:
     return int(total)
 
 
-def big_a(F: FqField, m_tuple, d) -> int:
-    """The multiplicative coefficient built from prime-power data."""
-    primes = {}
-    for idx, m in enumerate(m_tuple):
-        for p, mult in fq.factor(F, m)[1]:
-            primes.setdefault(p, [0, 0, 0, 0])[idx] = mult
-    for p, mult in fq.factor(F, d)[1]:
-        primes.setdefault(p, [0, 0, 0, 0])[3] = mult
-    out = 1
-    for p, (k1, k2, k3, l) in primes.items():
-        out *= a_eval(k1, k2, k3, l, F.q ** fq.deg(p))
-        if out == 0:
-            return 0
-    return out
-
-
 @lru_cache(maxsize=None)
 def pl_center_value(l: int, degp: int, sign: int, q: int) -> QuadValue:
     """P_l at all three outer arguments sign*|p|**(-1/2), |p| = q**degp."""
@@ -156,10 +140,6 @@ def _degree_splits(budget, parts):
 
 def _coprime_to(F, m, c_primes):
     return all(fq.pmod(F, m, p) for p in c_primes)
-
-
-def _hat(F, m, d0):
-    return fq.coprime_part(F, m, d0)
 
 
 @lru_cache(maxsize=None)
@@ -454,13 +434,6 @@ def zc_buckets_vers2(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
 
 ROUTES = {"vers0": zc_buckets_vers0, "vers1": zc_buckets_vers1,
           "vers2": zc_buckets_vers2}
-
-
-def zc_buckets(F: FqField, tw: TwistSpec, n4_max: int, total_max: int,
-               route: str = "vers1"):
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}")
-    return ROUTES[route](F, tw, n4_max, total_max)
 
 
 def compare_routes(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
@@ -794,14 +767,6 @@ def gamma_table(q: int):
 # ---------------------------------------------------------------------------
 # residues at the quartic poles
 # ---------------------------------------------------------------------------
-
-def _quartic_norm_power(q: int, degx: int, quarters: int, rho=None, rho_power=0) -> QuarticValue:
-    """|x|**(quarters/4) with optional rho**(rho_power*degx) prefactor."""
-    v = QuarticValue.root4(q, quarters * degx)
-    if rho is not None and rho_power:
-        v = v * rho_value(q, rho) ** (rho_power * degx)
-    return v
-
 
 def _chi_tp(sgn_tp: int, degp: int) -> int:
     return 1 if sgn_tp == 1 else (1 if degp % 2 == 0 else -1)

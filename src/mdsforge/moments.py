@@ -26,19 +26,24 @@ from .rings import QuadValue, QuarticValue, tower_float
 # ---------------------------------------------------------------------------
 
 def _moment_partial(args):
-    """Worker: exact partial sum over an index range of monic degree-D polys."""
+    """Worker: over an index range of monic degree-D polys, the integers
+    (a, b) with sum of L(1/2)**3 = (a + b*sqrt q) / q**(3*(D//2)) over the
+    square-free ones; each cube (A + B sqrt q)**3 of the central parts is
+    A(A^2 + 3qB^2) + B(3A^2 + qB^2) sqrt q."""
     p, e, D, start, stop = args
     F = fq.build_field(p, e)
-    a = Fraction(0)
-    b = Fraction(0)
+    q = F.q
+    a = b = 0
     for idx in range(start, stop):
         d0 = fq.monic_by_index(F, D, idx)
         if not fq.is_squarefree(F, d0):
             continue
-        val = lseries.l_polynomial(F, d0).central_value() ** 3
-        a += val.a
-        b += val.b
-    return str(a), str(b)
+        A, B, _ = lseries.l_polynomial(F, d0).central_parts()
+        A2 = A * A
+        qB2 = q * B * B
+        a += A * (A2 + 3 * qB2)
+        b += B * (3 * A2 + qB2)
+    return a, b
 
 
 def moment_sum(F: FqField, D: int, workers: int = 1) -> QuadValue:
@@ -47,19 +52,17 @@ def moment_sum(F: FqField, D: int, workers: int = 1) -> QuadValue:
         return lseries.zeta_half(F.q) ** 3
     total = F.q ** D
     if workers <= 1:
-        a_str, b_str = _moment_partial((F.p, F.e, D, 0, total))
-        return QuadValue(F.q, Fraction(a_str), Fraction(b_str))
-    import multiprocessing
-    chunk = (total + workers - 1) // workers
-    jobs = [(F.p, F.e, D, k * chunk, min((k + 1) * chunk, total))
-            for k in range(workers) if k * chunk < total]
-    a = Fraction(0)
-    b = Fraction(0)
-    with multiprocessing.Pool(workers) as pool:
-        for a_str, b_str in pool.map(_moment_partial, jobs):
-            a += Fraction(a_str)
-            b += Fraction(b_str)
-    return QuadValue(F.q, a, b)
+        parts = [_moment_partial((F.p, F.e, D, 0, total))]
+    else:
+        import multiprocessing
+        chunk = (total + workers - 1) // workers
+        jobs = [(F.p, F.e, D, k * chunk, min((k + 1) * chunk, total))
+                for k in range(workers) if k * chunk < total]
+        with multiprocessing.Pool(workers) as pool:
+            parts = pool.map(_moment_partial, jobs)
+    den = F.q ** (3 * (D // 2))
+    return QuadValue(F.q, Fraction(sum(a for a, _ in parts), den),
+                     Fraction(sum(b for _, b in parts), den))
 
 
 # -- cache ---------------------------------------------------------------
@@ -194,9 +197,8 @@ def r_term(F: FqField, D: int, deg_max: int = 8, dps: int = 50):
 
     Assembled from the three bracket constants (cross-checked against the
     eighth-root table), the two central values, and the two Euler products;
-    also re-derived through the residue-sum sign bookkeeping (the same value
-    times -q**(-3D/4) of the pole-sum expression) and through the pole-class
-    expansion sum_rho rho**D * (closed residue at rho).
+    also re-derived through the pole-class expansion
+    sum_rho rho**D * (closed residue at rho).
     """
     q = F.q
     b_plus, b_minus, b_imag = _bracket_values(q)
@@ -231,14 +233,8 @@ def r_term(F: FqField, D: int, deg_max: int = 8, dps: int = 50):
             prod = prod1["value"] if sgn_tp == 1 else prod2["value"]
             alt += mpmath.re(mpmath.mpc(rho_c) ** D * gam / 8 * lpow * prod)
 
-        # residue-theorem sign bookkeeping: the pole-sum expression times
-        # -q^{-3D/4}
-        pole_sum = -(line1 + line2 + line3) * mpmath.power(q, mpmath.mpf(3 * D) / 4)
-        via_sign = -pole_sum * mpmath.power(q, -mpmath.mpf(3 * D) / 4)
-
         return {"D": D, "q": q, "value": value,
                 "pole_class_expansion": alt,
-                "via_sign_convention": via_sign,
                 "tail_bound": prod1["tail_bound"] + prod2["tail_bound"],
                 "deg_max": deg_max}
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mdsforge import d4
-from mdsforge.rings import QuadValue, tower_float
+from mdsforge.rings import MultiPoly, QuadValue, tower_float
 
 
 def test_coefficient_laws_small():
@@ -49,6 +49,31 @@ def test_extraction_base_cases():
     P1 = d4.p_poly(1, 6, 6)
     assert P1.terms == {(0, 0, 0): d4.PP_ONE}  # symmetric and nonzero
     assert d4.q_poly(0, 0, 0, 6, 6).terms == {(0,): d4.PP_ONE}
+
+
+def _times_units_truncated(terms, n, variables, cap):
+    """The general product terms * prod (1 - z_i), truncated at the cap."""
+    P = MultiPoly(n, dict(terms))
+    for i in variables:
+        z_i = MultiPoly.monomial(n, tuple(int(j == i) for j in range(n)))
+        P = P * (MultiPoly.const(n, 1) - z_i)
+    return {e: c for e, c in P.terms.items() if max(e) <= cap}
+
+
+def test_clear_geometric_matches_general_product():
+    series = d4.f_series_capped(12, 10)
+    for l in range(11):
+        raw = {e[:3]: c for e, c in series.terms.items() if e[3] == l}
+        cleared = d4._clear_geometric(raw, range(3), 12)
+        assert cleared == _times_units_truncated(raw, 3, range(3), 12), l
+        if l % 2 == 0:
+            assert d4.p_poly(l).terms == cleared
+    for k in itertools.product(range(4), repeat=3):
+        raw = {e[3:]: c for e, c in series.terms.items() if e[:3] == k}
+        cleared = d4._clear_geometric(raw, (0,), 10)
+        assert cleared == _times_units_truncated(raw, 1, (0,), 10), k
+        if sum(k) % 2 == 0:
+            assert d4.q_poly(*k).terms == cleared
 
 
 def test_extraction_symmetry():

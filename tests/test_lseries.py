@@ -27,6 +27,8 @@ def test_constant_conductor_special_values():
     Lt = lseries.l_polynomial(F5, fq.P_ONE, unit=F5.nonsquare_unit)
     assert Lt.special == "minus"
     assert Lt.central_value() == lseries.l_nonsquare_half(5)
+    with pytest.raises(ValueError):
+        L.central_parts()
 
 
 def test_nonsquarefree_rejected():
@@ -45,12 +47,23 @@ def test_coeff_sums_match_direct_enumeration():
 
 @pytest.mark.parametrize("F,deg_cap", [(F5, 5), (F9, 3)], ids=["q5", "q9"])
 def test_full_vs_completed_exhaustive(F, deg_cap):
+    q = F.q
     for D in range(1, deg_cap + 1):
         for d0 in fq.enumerate_monic(F, D, "squarefree"):
             for unit in (1, F.nonsquare_unit):
                 full = lseries.l_polynomial(F, d0, unit, "full").coeffs
-                fe = lseries.l_polynomial(F, d0, unit, "fe_completed").coeffs
-                assert full == fe, (d0, unit)
+                L = lseries.l_polynomial(F, d0, unit, "fe_completed")
+                assert full == L.coeffs, (d0, unit)
+                # the integer central parts against the direct sum
+                # c_n q^(-n/2), kept as two rational coordinates (also at
+                # q = 9, where QuadValue would merge them)
+                A, B, k = L.central_parts()
+                a = sum(Fraction(c, q ** (n // 2))
+                        for n, c in enumerate(full) if n % 2 == 0)
+                b = sum(Fraction(c, q ** ((n + 1) // 2))
+                        for n, c in enumerate(full) if n % 2)
+                assert k == D // 2
+                assert (Fraction(A, q ** k), Fraction(B, q ** k)) == (a, b), (d0, unit)
 
 
 def test_full_vs_completed_sampled_high_degree():
@@ -67,6 +80,12 @@ def test_full_vs_completed_sampled_high_degree():
             fe = lseries.l_polynomial(F5, d0, 1, "fe_completed").coeffs
             assert full == fe, d0
             done += 1
+
+
+def test_fe_complete_rejects_non_integral_result():
+    # a non-integral lower half leaves a remainder in the exact division by q
+    with pytest.raises(ArithmeticError, match="denominator"):
+        lseries._fe_complete(F5, 1, 4, [1, Fraction(1, 2)])
 
 
 def test_unit_twist_flips_odd_coefficients():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -9,6 +10,7 @@ from mdsforge.rings import QuadValue
 
 
 F5 = fq.build_field(5)
+F9 = fq.build_field(3, 2)
 
 
 def test_moment_boundary_values():
@@ -17,15 +19,45 @@ def test_moment_boundary_values():
 
 
 def test_moment_matches_direct_sum():
-    # recompute S(2) from the 20 conductors the slow way
-    total = QuadValue(5, 0, 0)
-    for d0 in fq.enumerate_monic(F5, 2, "squarefree"):
-        total = total + lseries.l_polynomial(F5, d0, 1, "full").central_value() ** 3
-    assert total == moments.moment_sum(F5, 2)
+    # recompute S(D) the slow way, as a sum of cubed "full"-mode central values
+    for F, degrees in ((F5, (2, 3, 4)), (F9, (0, 1, 2, 3))):
+        for D in degrees:
+            total = QuadValue(F.q, 0, 0)
+            for d0 in fq.enumerate_monic(F, D, "squarefree"):
+                total = total + lseries.l_polynomial(F, d0, 1, "full").central_value() ** 3
+            assert total == moments.moment_sum(F, D), (F.q, D)
 
 
 def test_worker_partition_merge():
-    assert moments.moment_sum(F5, 3, workers=1) == moments.moment_sum(F5, 3, workers=2)
+    for F, D in ((F5, 3), (F5, 4), (F9, 4)):
+        assert moments.moment_sum(F, D, workers=1) == moments.moment_sum(F, D, workers=2)
+
+
+# SHA-256 of the cache files store_moment wrote before the moment sums moved
+# to integer arithmetic; caches written by earlier versions stay valid only
+# while these bytes are unchanged
+MOMENT_CACHE_SHA256 = {
+    (5, 0): "c3a60d5eaaf54dcb446d1c866de3556c2f1cceaa96ff574e2296ecd37fc2b1c8",
+    (5, 1): "007454892a45c0a5e7d5de549fd6af0f1c6699933f7a9da14af3b451d817f4de",
+    (5, 2): "7b432f07771003606988ad4df02289f0e6e4e0d3fd9e203e8e7c2eda4300eeba",
+    (5, 3): "37b1f09a13b30df7862e204b26439f1386113f51bfc0c380d3fed678021483d8",
+    (5, 4): "5dc5657648a33e60d03b0093e0e1f3f173a0ff92c695b1f4eca12934836843ce",
+    (5, 5): "46072460d356ff3a0e87346750db90aba578c8177d02f6600f3ed84adeed11e8",
+    (5, 6): "2c27b0fffd1210d346a91be5eefc2b74b166ce98d7394e2212fb6d9053282333",
+    (9, 0): "d96eebdb3bb8dd268c6b70e6c37640b6efe3f781c8010c80dbc591482a789608",
+    (9, 1): "1ed1dd4b48fbb5adfc20cbb1a95b4e444a46e552b83d5d7efea577dc2878ffe9",
+    (9, 2): "edbf8277c22bd22ff70968b0f98600306c994d2aec05a7e60ba6c31d4746b301",
+    (9, 3): "1aa7c0ce9f40cb090e63a0304eed72319fd1f628c3e0cf935437307564344bd6",
+    (9, 4): "9718a3436a09c3c80155f0060acfd9733201727fdcf086b2ea9d5d4927c02b71",
+}
+
+
+def test_moment_cache_files_pinned(tmp_path):
+    fields = {5: F5, 9: F9}
+    for (q, D), digest in MOMENT_CACHE_SHA256.items():
+        path = moments.store_moment(str(tmp_path), q, D, moments.moment_sum(fields[q], D))
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, (q, D)
 
 
 def test_sieve_reconstruction():
@@ -86,7 +118,6 @@ def test_r_term_brackets_and_period():
     r0 = moments.r_term(F5, 0, deg_max=6)
     r4 = moments.r_term(F5, 4, deg_max=6)
     assert abs(float(r0["value"] - r4["value"])) < 1e-15
-    assert abs(float(r0["value"] - r0["via_sign_convention"])) < 1e-15
     assert abs(float(r0["value"] - r0["pole_class_expansion"])) < 1e-10
 
 
