@@ -471,7 +471,8 @@ def local_factor_series(q: int, degp: int, n_max: int):
     fz = _geom_univ(numz_q, zcap, 2, one, power=7)
     fz = _geom_univ(fz, zcap, 4, QuadValue(q, Fraction(q) ** degp, 0), power=1)
     fz[0] = fz[0] - one
-    assert fz[0].is_zero() and fz[1].is_zero()
+    if not (fz[0].is_zero() and fz[1].is_zero()):
+        raise ArithmeticError("F - 1 is not divisible by z**2")
     F_z = fz[2:]  # divided by z^2
 
     # G parts: (1 -+ Q)^-3 * num(sign) / den - (1 -+ Q)^-3, over Q(sqrt q)
@@ -497,7 +498,8 @@ def local_factor_series(q: int, degp: int, n_max: int):
         pref = (one - Qv * sign).inverse() ** 3
         gz = [pref * c for c in gz]
         gz[0] = gz[0] - pref
-        assert gz[0].is_zero() and gz[1].is_zero()
+        if not (gz[0].is_zero() and gz[1].is_zero()):
+            raise ArithmeticError("G - (1 -+ Q)**-3 is not divisible by z**2")
         parts[sign] = gz[2:]
 
     half = Fraction(1, 2)

@@ -49,7 +49,8 @@ class FqField:
         self.modulus = self._lex_min_irreducible() if e > 1 else None
         self._build_tables()
         self.nonsquare_unit = next(a for a in range(1, q) if not self.is_square[a])
-        assert self.pow_el(self.nonsquare_unit, (q - 1) // 2) == self.neg[1]
+        if self.pow_el(self.nonsquare_unit, (q - 1) // 2) != self.neg[1]:
+            raise ArithmeticError("the non-square unit fails Euler's criterion")
 
     # -- construction helpers -------------------------------------------
     def _poly_p_mul_mod(self, a, b, mod):

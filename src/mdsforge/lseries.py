@@ -22,42 +22,28 @@ from .rings import QuadValue
 # fast symbol tables per small prime
 # ---------------------------------------------------------------------------
 
+# Residue tables are kept for primes of norm up to this bound.
+SYMBOL_TABLE_MAX_NORM = 2048
+
+
 @lru_cache(maxsize=None)
 def _residue_symbol_table(field_key, p):
-    """(r/p) for every residue r mod the irreducible p, as a dict."""
+    """(r/p) for every residue r mod the irreducible p, as a dict: the
+    nonzero squares r*r mod p map to +1, the other nonzero residues to -1."""
     F = fq.build_field(*field_key)
-    np = F.q ** fq.deg(p)
-    table = {}
-    exp = (np - 1) // 2
-    # enumerate residues: all polys of degree < deg p
-    def residues(d):
-        if d == 0:
-            yield ()
-            return
-        for idx in range(F.q ** d):
-            coeffs = []
-            c = idx
-            for _ in range(d):
-                coeffs.append(c % F.q)
-                c //= F.q
-            yield fq.trim(tuple(coeffs))
-    seen = set()
-    for r in residues(fq.deg(p)):
-        if r in seen:
-            continue
-        seen.add(r)
-        if not r:
-            table[r] = 0
-        else:
-            t = fq.ppow_mod(F, r, exp, p)
-            table[r] = 1 if t == fq.P_ONE else -1
+    nonzero = [fq.pscale(F, m, c) for n in range(fq.deg(p))
+               for m in fq.enumerate_monic(F, n) for c in range(1, F.q)]
+    table = dict.fromkeys(nonzero, -1)
+    for r in nonzero:
+        table[fq.pmod(F, fq.pmul(F, r, r), p)] = 1
+    table[fq.P_ZERO] = 0
     return table
 
 
 def prime_symbol(F: FqField, top, p) -> int:
     """chi_top(p) = (top/p); cached residue table for small primes, plain
     Euclidean reduction otherwise."""
-    if F.q ** fq.deg(p) <= 2048:
+    if F.q ** fq.deg(p) <= SYMBOL_TABLE_MAX_NORM:
         r = fq.pmod(F, top, p)
         return _residue_symbol_table((F.p, F.e), p)[r]
     return fq.kronecker(F, top, p)
@@ -82,7 +68,7 @@ def _symbol_plan(field_key, n_max):
         dp = fq.deg(p)
         if dp == 1:
             plan.append((p, dp, "root", F.neg[p[0]]))
-        elif F.q ** dp <= 2048:
+        elif F.q ** dp <= SYMBOL_TABLE_MAX_NORM:
             plan.append((p, dp, "table", _residue_symbol_table(field_key, p)))
         else:
             plan.append((p, dp, "euclid", None))
@@ -328,7 +314,8 @@ def check_weil(F: FqField, b0, tol: float = 1e-9):
                 quot[d - 1] = coeffs[d]
                 for k in range(d - 1, 0, -1):
                     quot[k - 1] = coeffs[k] + u0 * quot[k]
-                assert coeffs[0] + u0 * quot[0] == 0
+                if coeffs[0] + u0 * quot[0]:
+                    raise ArithmeticError(f"division by u - ({u0}) left a remainder")
                 coeffs = quot
                 break
         else:

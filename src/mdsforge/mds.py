@@ -72,38 +72,30 @@ def sgn_unit(F: FqField, unit: int) -> int:
 @lru_cache(maxsize=None)
 def a_eval(k1: int, k2: int, k3: int, l: int, qp: int) -> int:
     """a(k1,k2,k3,l; qp) as an integer, qp a prime power."""
-    pp = d4.a_coeff(k1, k2, k3, l)
-    total = Fraction(0)
-    for half, c in pp.half.items():
-        if half % 2:
-            raise ArithmeticError("series coefficient with half-integer exponent")
-        total += c * Fraction(qp) ** (half // 2)
-    if total.denominator != 1:
-        raise ArithmeticError("series coefficient not integral")
-    return int(total)
+    return d4.a_coeff(k1, k2, k3, l).eval_int(qp)
+
+
+@lru_cache(maxsize=None)
+def _correction_at_prime(which, degp: int, qp: int, sign: int):
+    """The correction polynomial P_l (``which`` = l) or Q_k (``which`` = the
+    exponent triple kk) with arguments sign * t**degp and parameter qp, as a
+    dict {exponents * degp: int} without zero entries.  The dict is shared
+    by the cache: callers must not mutate it."""
+    poly = d4.q_poly(*which) if isinstance(which, tuple) else d4.p_poly(which)
+    out = {}
+    for e, c in poly.terms.items():
+        v = c.eval_int(qp) * sign ** sum(e)
+        if v:
+            out[tuple(x * degp for x in e)] = v
+    return out
 
 
 @lru_cache(maxsize=None)
 def pl_center_value(l: int, degp: int, sign: int, q: int) -> QuadValue:
     """P_l at all three outer arguments sign*|p|**(-1/2), |p| = q**degp."""
-    P = d4.p_poly(l)
-    a = Fraction(0)
-    b = Fraction(0)
-    for e, c in P.terms.items():
-        tot = sum(e)
-        coef = Fraction(0)
-        for half, cc in c.half.items():
-            if half % 2:
-                raise ArithmeticError("unexpected half power in correction polynomial")
-            coef += cc * Fraction(q) ** ((half // 2) * degp)
-        coef *= sign ** tot
-        # multiply by q**(-degp*tot/2)
-        twice = -degp * tot
-        if twice % 2 == 0:
-            a += coef * Fraction(q) ** (twice // 2)
-        else:
-            b += coef * Fraction(q) ** ((twice - 1) // 2)
-    return QuadValue(q, a, b)
+    return sum((d4._qpow_half(q, -sum(key)) * v
+                for key, v in _correction_at_prime(l, degp, q ** degp, sign).items()),
+               QuadValue(q, 0, 0))
 
 
 def pd_value(F: FqField, d0, d1, char_unit: int, char_monics) -> QuadValue:
@@ -284,22 +276,6 @@ def zc_buckets_vers0(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
     return {k: v for k, v in out.items() if v}
 
 
-def _pl_poly_at_prime(l: int, degp: int, qp: int, sign: int):
-    """P_l with arguments (sign * t_i**degp) and parameter qp, as a dict
-    exponent-triple -> int in the global outer variables."""
-    P = d4.p_poly(l)
-    out = {}
-    for e, c in P.terms.items():
-        coef = Fraction(0)
-        for half, cc in c.half.items():
-            coef += cc * Fraction(qp) ** (half // 2)
-        coef *= sign ** sum(e)
-        assert coef.denominator == 1
-        key = tuple(x * degp for x in e)
-        out[key] = out.get(key, 0) + int(coef)
-    return {k: v for k, v in out.items() if v}
-
-
 def _poly3_mul(a, b, caps):
     out = {}
     for e1, c1 in a.items():
@@ -336,9 +312,9 @@ def zc_buckets_vers1(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
                     if s == 0:
                         ok = False
                         break
-                    piece = _pl_poly_at_prime(2 * mult, dp, qp, s)
+                    piece = _correction_at_prime(2 * mult, dp, qp, s)
                 else:
-                    piece = _pl_poly_at_prime(2 * mult + 1, dp, qp, 1)
+                    piece = _correction_at_prime(2 * mult + 1, dp, qp, 1)
                 pd = _poly3_mul(pd, piece, (m_total, m_total, m_total))
             if not ok:
                 raise ArithmeticError("unexpected character degeneration")
@@ -358,21 +334,6 @@ def zc_buckets_vers1(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
                             key = (n1, n2, n3, n4)
                             out[key] = out.get(key, 0) + chi_d0 * cpd * c1v * c2v * c3v
     return {k: v for k, v in out.items() if v}
-
-
-def _qk_poly_at_prime(kk, degp: int, qp: int, sign: int):
-    """Central correction polynomial for the exponent triple kk, with
-    argument sign*t**degp, as a coefficient dict in the global grading."""
-    Q = d4.q_poly(*kk)
-    out = {}
-    for e, c in Q.terms.items():
-        coef = Fraction(0)
-        for half, cc in c.half.items():
-            coef += cc * Fraction(qp) ** (half // 2)
-        coef *= sign ** e[0]
-        assert coef.denominator == 1
-        out[e[0] * degp] = out.get(e[0] * degp, 0) + int(coef)
-    return out
 
 
 def zc_buckets_vers2(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
@@ -407,17 +368,13 @@ def zc_buckets_vers2(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
                             profile.setdefault(p, [0, 0, 0])[idx] = mult
                     for p, kk in profile.items():
                         dp = fq.deg(p)
-                        qp = F.q ** dp
-                        if sum(kk) % 2 == 1:
-                            piece = _qk_poly_at_prime(tuple(kk), dp, qp, 1)
-                        else:
-                            s = chi(F, tw.a2, (tw.c2, n0), p)
-                            if s == 0:
-                                raise ArithmeticError("central character degenerates")
-                            piece = _qk_poly_at_prime(tuple(kk), dp, qp, s)
+                        s = 1 if sum(kk) % 2 else chi(F, tw.a2, (tw.c2, n0), p)
+                        if s == 0:
+                            raise ArithmeticError("central character degenerates")
+                        piece = _correction_at_prime(tuple(kk), dp, F.q ** dp, s)
                         new = {}
                         for e1, c1 in qm.items():
-                            for e2, c2 in piece.items():
+                            for (e2,), c2 in piece.items():
                                 if e1 + e2 <= n4_cap:
                                     new[e1 + e2] = new.get(e1 + e2, 0) + c1 * c2
                         qm = new
@@ -629,45 +586,49 @@ def _useries_mul(a, b, n_max, zero):
     return out
 
 
+def _twist_splits(F: FqField, h, a2: int):
+    """Every way to split the primes of square-free h into c1 and, by one bit
+    each, c2 (bit 1) and c3 (bit 0).  Yields (tw, sign, c_set, cp_bits):
+    the twist (c1, c2, c3) with units (1, a2), the sign chi_{a2 c2}(c1), the
+    primes of c1 and the (prime, bit) pairs of the others."""
+    h_primes = [p for p, _ in fq.factor(F, h)[1]]
+
+    def prod(primes):
+        out = fq.P_ONE
+        for p in primes:
+            out = fq.pmul(F, out, p)
+        return out
+
+    for r in range(len(h_primes) + 1):
+        for c_set in itertools.combinations(h_primes, r):
+            cp_primes = [p for p in h_primes if p not in c_set]
+            for eps_bits in itertools.product((0, 1), repeat=len(cp_primes)):
+                cp_bits = tuple(zip(cp_primes, eps_bits))
+                c_poly = prod(c_set)
+                c_eps = prod(p for p, bit in cp_bits if bit)
+                c3_poly = prod(p for p, bit in cp_bits if not bit)
+                tw = TwistSpec(F, c1=c_poly, c2=c_eps, c3=c3_poly, a1=1, a2=a2)
+                yield tw, chi(F, a2, (c_eps,), c_poly), c_set, cp_bits
+
+
 def decomposition_t4_series(F: FqField, h, a2: int, n_max: int):
     """Right-hand side of the key sieved-series decomposition, as an exact
     central-variable series."""
     q = F.q
     zero = QuadValue(q, 0, 0)
-    one = QuadValue(q, 1, 0)
-    h_primes = [p for p, _ in fq.factor(F, h)[1]]
     total = [zero] * (n_max + 1)
-    for r in range(len(h_primes) + 1):
-        for c_set in itertools.combinations(h_primes, r):
-            c_poly = fq.P_ONE
-            for p in c_set:
-                c_poly = fq.pmul(F, c_poly, p)
-            cp_primes = [p for p in h_primes if p not in c_set]
-            # epsilon assignments over the complementary primes
-            for eps_bits in itertools.product((0, 1), repeat=len(cp_primes)):
-                c_eps = fq.P_ONE
-                c3_poly = fq.P_ONE
-                for p, bit in zip(cp_primes, eps_bits):
-                    if bit:
-                        c_eps = fq.pmul(F, c_eps, p)
-                    else:
-                        c3_poly = fq.pmul(F, c3_poly, p)
-                tw = TwistSpec(F, c1=c_poly, c2=c_eps, c3=c3_poly, a1=1, a2=a2)
-                series = zc_t4_series(F, tw, n_max)
-                # chi_{a2 c_eps}(c)
-                sign = chi(F, a2, (c_eps,), c_poly)
-                series = [x * sign for x in series]
-                for p in c_set:
-                    dp = fq.deg(p)
-                    Fs, _, _ = d4.local_factor_series(q, dp, n_max)
-                    series = _useries_mul(series, Fs, n_max, zero)
-                    # |p|^{-s4} shift
-                    series = [zero] * dp + series[: n_max + 1 - dp]
-                for p, bit in zip(cp_primes, eps_bits):
-                    dp = fq.deg(p)
-                    _, G0s, G1s = d4.local_factor_series(q, dp, n_max)
-                    series = _useries_mul(series, G1s if bit else G0s, n_max, zero)
-                total = [t + s for t, s in zip(total, series)]
+    for tw, sign, c_set, cp_bits in _twist_splits(F, h, a2):
+        series = [x * sign for x in zc_t4_series(F, tw, n_max)]
+        for p in c_set:
+            dp = fq.deg(p)
+            Fs, _, _ = d4.local_factor_series(q, dp, n_max)
+            series = _useries_mul(series, Fs, n_max, zero)
+            # |p|^{-s4} shift
+            series = [zero] * dp + series[: n_max + 1 - dp]
+        for p, bit in cp_bits:
+            _, G0s, G1s = d4.local_factor_series(q, fq.deg(p), n_max)
+            series = _useries_mul(series, G1s if bit else G0s, n_max, zero)
+        total = [t + s for t, s in zip(total, series)]
     # |h|^{-2 s4} shift
     shift = 2 * fq.deg(h)
     if shift > n_max:
@@ -975,32 +936,16 @@ def residue_of_sieved(F: FqField, h, a2: int, rho: str) -> QuarticValue:
     formula."""
     q = F.q
     rv = rho_value(q, rho)
-    h_primes = [p for p, _ in fq.factor(F, h)[1]]
     total = QuarticValue.from_rational(q, 0)
-    for r in range(len(h_primes) + 1):
-        for c_set in itertools.combinations(h_primes, r):
-            c_poly = fq.P_ONE
-            for p in c_set:
-                c_poly = fq.pmul(F, c_poly, p)
-            cp_primes = [p for p in h_primes if p not in c_set]
-            for eps_bits in itertools.product((0, 1), repeat=len(cp_primes)):
-                c_eps = fq.P_ONE
-                c3_poly = fq.P_ONE
-                for p, bit in zip(cp_primes, eps_bits):
-                    if bit:
-                        c_eps = fq.pmul(F, c_eps, p)
-                    else:
-                        c3_poly = fq.pmul(F, c3_poly, p)
-                tw = TwistSpec(F, c1=c_poly, c2=c_eps, c3=c3_poly, a1=1, a2=a2)
-                term = residue_three_quarters(F, tw, rho)
-                term = term * chi(F, a2, (c_eps,), c_poly)
-                for p in c_set:
-                    dp = fq.deg(p)
-                    term = term * _local_value_F(q, dp, rho)
-                    term = term * rv.conj() ** dp * QuarticValue.root4(q, -3 * dp)
-                for p, bit in zip(cp_primes, eps_bits):
-                    term = term * _local_value_G(q, fq.deg(p), rho, bit)
-                total = total + term
+    for tw, sign, c_set, cp_bits in _twist_splits(F, h, a2):
+        term = residue_three_quarters(F, tw, rho) * sign
+        for p in c_set:
+            dp = fq.deg(p)
+            term = term * _local_value_F(q, dp, rho)
+            term = term * rv.conj() ** dp * QuarticValue.root4(q, -3 * dp)
+        for p, bit in cp_bits:
+            term = term * _local_value_G(q, fq.deg(p), rho, bit)
+        total = total + term
     # |h|^{-2 s4} at the pole
     dh = fq.deg(h)
     total = total * rv.conj() ** (2 * dh) * QuarticValue.root4(q, -6 * dh)
@@ -1225,33 +1170,19 @@ def residue_z0_three_quarters(F: FqField, a2: int, rho: str,
 def check_residue_w1():
     """Exact rational-function identity for the modified residue of the
     untwisted series at the boundary pole in the central variable, in the
-    three outer gradings (t1, t2, t3) with symbolic q; plus the sign-twisted
-    variant at the negated pole point."""
+    three outer gradings (t1, t2, t3) with symbolic q."""
     from .rings import MultiPoly, RationalFunction
     from . import d4data
 
-    def build(twist_sign: int):
-        """Cancel the boundary zeta pole and evaluate at the pole point.
-
-        twist_sign -1 first replaces t4 by -t4 (the non-square unit twist of
-        the conductor sum), whose pole sits at t4 = -1/q; both (-1)^e4
-        factors are kept explicit so the sign bookkeeping is exercised.
-        """
+    def build():
+        """Cancel the boundary zeta pole and evaluate at t4 = 1/q."""
         num = MultiPoly(3)
         for e1, e2, e3, e4, a, c in d4data.NUM_TERMS:
-            c_tw = c * (twist_sign ** e4)          # twist t4 -> sign*t4
-            c_val = c_tw * (twist_sign ** e4)      # evaluate at t4 = sign/q
-            num += MultiPoly.monomial(3, (e1, e2, e3),
-                                      ParamPoly.q_power(a - e4, c_val))
-        dens = []
-        for a, exps in d4data.DEN_FACTORS:
-            if exps == (0, 0, 0, 1):
-                continue  # the boundary pole factor, cancelled by the zeta
-            e4 = exps[3]
-            c_val = (twist_sign ** e4) * (twist_sign ** e4)
-            dens.append(MultiPoly.const(3, 1)
-                        - MultiPoly.monomial(3, exps[:3],
-                                             ParamPoly.q_power(a - e4, c_val)))
+            num += MultiPoly.monomial(3, (e1, e2, e3), ParamPoly.q_power(a - e4, c))
+        dens = [MultiPoly.const(3, 1)
+                - MultiPoly.monomial(3, exps[:3], ParamPoly.q_power(a - exps[3]))
+                for a, exps in d4data.DEN_FACTORS
+                if exps != (0, 0, 0, 1)]  # the boundary pole, cancelled by the zeta
         return RationalFunction(num, dens)
 
     # target: zeta-product form rewritten in the t variables
@@ -1270,10 +1201,5 @@ def check_residue_w1():
                             - MultiPoly.monomial(3, exps, ParamPoly.q_power(1)))
         return RationalFunction(MultiPoly.const(3, 1), dens)
 
-    lhs_plus = build(+1)
-    lhs_minus = build(-1)
-    rhs = zeta_rhs()
-    ok_plus = lhs_plus.equals_exact(rhs)
-    ok_minus = lhs_minus.equals_exact(lhs_plus)
-    return {"boundary_identity": ok_plus, "twisted_matches": ok_minus,
-            "ok": ok_plus and ok_minus}
+    ok = build().equals_exact(zeta_rhs())
+    return {"boundary_identity": ok, "ok": ok}

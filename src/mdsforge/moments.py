@@ -179,7 +179,7 @@ def euler_product_P(F: FqField, mode: str, deg_max: int, dps: int = 50):
 
 def _bracket_values(q: int):
     """The three coefficient strings of the constant, exactly half the
-    corresponding eighth-root constants (asserted)."""
+    corresponding eighth-root constants (checked)."""
     rows = {(r["a2"], r["rho"]): r["value"] for r in mds.gamma_table_rows(q)}
     half = Fraction(1, 2)
     b_plus = rows[(1, "1")] * half
@@ -188,7 +188,9 @@ def _bracket_values(q: int):
     # defining-sum cross-check
     for (a2, rho), val in rows.items():
         sgn_tp = 1 if rho in ("1", "-1") else -1
-        assert mds.gamma_constant(q, a2, sgn_tp, rho) == val
+        if mds.gamma_constant(q, a2, sgn_tp, rho) != val:
+            raise ArithmeticError(f"eighth-root constant a2={a2}, rho={rho} "
+                                  "disagrees with its defining sum")
     return b_plus, b_minus, b_imag
 
 
@@ -400,18 +402,9 @@ def poly_center_bound(q: int, l_max: int = 10, eta: float = 0.2):
         al = l % 2
         bound = const * q ** ((l - al) * (0.25 + eta))
         for sign in (+1, -1):
-            val = d4.p_poly(l)
-            acc = QuadValue(q, 0, 0)
-            for e, c in val.terms.items():
-                tot = sum(e)
-                coef = Fraction(0)
-                for half, cc in c.half.items():
-                    coef += cc * Fraction(q) ** (half // 2)
-                term = d4._qpow_half(q, -tot) * (coef * sign ** tot)
-                acc = acc + term
-            items.append({"l": l, "sign": sign,
-                          "abs": abs(tower_float(acc)), "bound": bound,
-                          "ok": abs(tower_float(acc)) < bound})
+            val = abs(tower_float(mds.pl_center_value(l, 1, sign, q)))
+            items.append({"l": l, "sign": sign, "abs": val, "bound": bound,
+                          "ok": val < bound})
     return items
 
 

@@ -137,6 +137,18 @@ class ParamPoly:
         """Evaluate at a numeric q = sqrtq**2 (sqrtq rational)."""
         return sum((c * sqrtq ** k for k, c in self.half.items()), ZERO)
 
+    def eval_int(self, qp: int) -> int:
+        """Evaluate at an integer q = qp (a prime power): the exponents must
+        be integers and the value an integer."""
+        total = ZERO
+        for half, c in self.half.items():
+            if half % 2:
+                raise ArithmeticError("half-integer exponent in a Z[q] value")
+            total += c * Fraction(qp) ** (half // 2)
+        if total.denominator != 1:
+            raise ArithmeticError(f"ParamPoly value at q = {qp} is not an integer")
+        return int(total)
+
     def eval_quad(self, q: int) -> "QuadValue":
         """Evaluate at integer q inside Q(sqrt q)."""
         a = ZERO

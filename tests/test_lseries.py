@@ -45,6 +45,16 @@ def test_coeff_sums_match_direct_enumeration():
             == lseries.coeff_sums_direct(F5, top, 3, skip=skip))
 
 
+@pytest.mark.parametrize("F,deg_max", [(F5, 3), (F9, 2)], ids=["q5", "q9"])
+def test_residue_symbol_tables_match_kronecker(F, deg_max):
+    for d in range(1, deg_max + 1):
+        for p in fq.irreducibles(F, d):
+            table = lseries._residue_symbol_table((F.p, F.e), p)
+            assert len(table) == F.q ** d
+            for r, s in table.items():
+                assert s == fq.kronecker(F, r, p)
+
+
 @pytest.mark.parametrize("F,deg_cap", [(F5, 5), (F9, 3)], ids=["q5", "q9"])
 def test_full_vs_completed_exhaustive(F, deg_cap):
     q = F.q

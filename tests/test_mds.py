@@ -119,7 +119,43 @@ def test_central_correction_fixed_point():
 
 def test_residue_w1_identity():
     rep = mds.check_residue_w1()
-    assert rep["boundary_identity"] and rep["twisted_matches"]
+    assert rep["boundary_identity"] and rep["ok"]
+
+
+def test_residue_w1_detects_perturbed_numerator(monkeypatch):
+    from mdsforge import d4data
+    terms = list(d4data.NUM_TERMS)
+    e1, e2, e3, e4, a, c = terms[1]
+    terms[1] = (e1, e2, e3, e4, a, c + 1)
+    monkeypatch.setattr(d4data, "NUM_TERMS", tuple(terms))
+    rep = mds.check_residue_w1()
+    assert rep["boundary_identity"] is False and rep["ok"] is False
+
+
+def test_correction_tables_match_direct_evaluation():
+    # P_l and Q_k tables against term-by-term evaluation in Q(sqrt q)
+    def direct(poly, degp, qp, sign):
+        out = {}
+        for e, c in poly.terms.items():
+            v = c.eval_quad(qp)
+            assert v.b == 0 and v.a.denominator == 1
+            if v.a:
+                out[tuple(x * degp for x in e)] = int(v.a) * sign ** sum(e)
+        return out
+
+    for q, degp in ((5, 1), (5, 2), (9, 1)):
+        qp = q ** degp
+        for sign in (1, -1):
+            for l in range(1, 6):
+                want = direct(d4.p_poly(l), degp, qp, sign)
+                assert mds._correction_at_prime(l, degp, qp, sign) == want
+                value = sum((d4._qpow_half(q, -sum(k)) * v for k, v in want.items()),
+                            QuadValue(q, 0, 0))
+                assert mds.pl_center_value(l, degp, sign, q) == value
+            kk = (2, 1, 0)
+            want = direct(d4.q_poly(*kk), degp, qp, sign)
+            assert all(len(k) == 1 for k in want)
+            assert mds._correction_at_prime(kk, degp, qp, sign) == want
 
 
 def test_residue_closed_form_equals_divisor_sum():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mdsforge import fq, lseries, mds, moments
-from mdsforge.rings import QuadValue
+from mdsforge.rings import QuadValue, tower_float
 
 
 F5 = fq.build_field(5)
@@ -152,6 +152,10 @@ def test_extremal_margin():
 def test_poly_center_bound():
     items = moments.poly_center_bound(5, l_max=6)
     assert all(item["ok"] for item in items)
+    assert len(items) == 12
+    for item in items:
+        value = mds.pl_center_value(item["l"], 1, item["sign"], 5)
+        assert item["abs"] == abs(tower_float(value))
 
 
 def test_series_partials_bounded():

@@ -9,6 +9,18 @@ from mdsforge.rings import (MultiPoly, ParamPoly, PP_ONE, QuadValue,
                             expand, rat_equal, tower_eval, tower_float)
 
 
+def test_eval_int():
+    pp = ParamPoly.q_power(2, 3) + ParamPoly.q_power(-1, 5) + ParamPoly.const(-1)
+    assert pp.eval_int(5) == 75
+    assert ParamPoly().eval_int(7) == 0
+    with pytest.raises(ArithmeticError):
+        ParamPoly.q_power(1, 1, half_units=True).eval_int(9)  # q**(1/2)
+    with pytest.raises(ArithmeticError):
+        ParamPoly.q_power(-1).eval_int(5)  # 1/5
+    with pytest.raises(ArithmeticError):
+        ParamPoly.const(Fraction(1, 2)).eval_int(5)
+
+
 def _random_parampoly(rng):
     out = ParamPoly()
     for _ in range(rng.randint(0, 3)):
