@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from . import d4data
 from .rings import (MultiPoly, ParamPoly, PP_ONE, QuadValue, RationalFunction,
-                    TruncSeries, expand)
+                    TruncSeries, accumulate, expand)
 
 
 # ---------------------------------------------------------------------------
@@ -23,10 +23,8 @@ def explicit_f() -> RationalFunction:
 
     On the data level each term c*q**a*z**e becomes c*q**(|e|-a)*z**e.
     """
-    num = MultiPoly(4)
-    for e1, e2, e3, e4, a, c in d4data.NUM_TERMS:
-        num += MultiPoly.monomial(4, (e1, e2, e3, e4),
-                                  ParamPoly.q_power(e1 + e2 + e3 + e4 - a, c))
+    num = MultiPoly(4, accumulate(((e1, e2, e3, e4), ParamPoly.q_power(e1 + e2 + e3 + e4 - a, c))
+                                  for e1, e2, e3, e4, a, c in d4data.NUM_TERMS))
     den = []
     for a, e in d4data.DEN_FACTORS:
         den.append(MultiPoly.const(4, 1)
@@ -91,16 +89,8 @@ def _clear_geometric(terms, variables, cap):
     The slices are truncated at the cap, so the product is exact only there.
     """
     for i in variables:
-        out = dict(terms)
-        for e, c in terms.items():
-            if e[i] < cap:
-                f = e[:i] + (e[i] + 1,) + e[i + 1:]
-                s = out[f] - c if f in out else -c
-                if s.is_zero():
-                    del out[f]
-                else:
-                    out[f] = s
-        terms = out
+        terms = accumulate(((e[:i] + (e[i] + 1,) + e[i + 1:], -c)
+                            for e, c in terms.items() if e[i] < cap), dict(terms))
     return terms
 
 
@@ -150,15 +140,11 @@ def check_pq_functional_eqs(l_max: int = 8, k_max: int = 8):
         al = l % 2
         P = p_poly(l)
         # RHS: monomial z1^j -> q^((l-al)/2 - j) z1^(l-al-j)
-        rhs = MultiPoly(3)
-        ok = True
-        for e, c in P.terms.items():
-            j = e[0]
-            newexp = (l - al - j, e[1], e[2])
-            if newexp[0] < 0:
-                ok = False
-                break
-            rhs += MultiPoly.monomial(3, newexp, c * ParamPoly.q_power((l - al) - 2 * j, 1, half_units=True))
+        ok = all(l - al - e[0] >= 0 for e in P.terms)
+        rhs = MultiPoly(3, accumulate(
+            ((l - al - e[0], e[1], e[2]),
+             c * ParamPoly.q_power((l - al) - 2 * e[0], 1, half_units=True))
+            for e, c in P.terms.items()))
         if not ok or not (P - rhs).is_zero():
             failures.append(("outer", l))
         else:
@@ -173,15 +159,10 @@ def check_pq_functional_eqs(l_max: int = 8, k_max: int = 8):
                 seen.add((k1, k2, k3))
                 ak = kk % 2
                 Q = q_poly(k1, k2, k3)
-                rhs = MultiPoly(1)
-                ok = True
-                for e, c in Q.terms.items():
-                    j = e[0]
-                    ne = kk - ak - j
-                    if ne < 0:
-                        ok = False
-                        break
-                    rhs += MultiPoly.monomial(1, (ne,), c * ParamPoly.q_power((kk - ak) - 2 * j, 1, half_units=True))
+                ok = all(kk - ak - j >= 0 for (j,) in Q.terms)
+                rhs = MultiPoly(1, accumulate(
+                    ((kk - ak - j,), c * ParamPoly.q_power((kk - ak) - 2 * j, 1, half_units=True))
+                    for (j,), c in Q.terms.items()))
                 if not ok or not (Q - rhs).is_zero():
                     failures.append(("central", (k1, k2, k3)))
                 else:
@@ -263,18 +244,13 @@ def even_num_coeffs(sign: int):
 
 def _qpoly_from_qexp(table) -> ParamPoly:
     """{Q-exponent: coef} -> ParamPoly in q (Q = q**(-1/2))."""
-    out = ParamPoly()
-    for k, c in table.items():
-        out = out + ParamPoly.q_power(-k, c, half_units=True)
-    return out
+    return ParamPoly(accumulate((-k, Fraction(c)) for k, c in table.items()))
 
 
 def specialized_odd_closed(n_max: int) -> TruncSeries:
     """z-series of the odd part at outer variables q**(-1/2) (symbolic q)."""
-    num = MultiPoly(1)
-    for j, c in enumerate(ODD_NUM_COEFFS):
-        if c:
-            num += MultiPoly.monomial(1, (j,), ParamPoly.const(c))
+    num = MultiPoly(1, accumulate(((j,), ParamPoly.const(c))
+                                  for j, c in enumerate(ODD_NUM_COEFFS)))
     den = [MultiPoly.const(1, 1) - MultiPoly.monomial(1, (2,), PP_ONE)] * 7
     den.append(MultiPoly.const(1, 1) - MultiPoly.monomial(1, (4,), ParamPoly.q_power(1)))
     return expand(RationalFunction(num, den), n_max, provenance="odd centre closed form")
@@ -286,9 +262,8 @@ def specialized_even_closed(sign: int, n_max: int) -> TruncSeries:
     The non-polynomial prefactor (1 -+ Q)^-3 is cleared, so both sides of the
     comparison live in Laurent polynomials of q**(1/2).
     """
-    num = MultiPoly(1)
-    for j, tab in even_num_coeffs(sign).items():
-        num += MultiPoly.monomial(1, (j,), _qpoly_from_qexp(tab))
+    num = MultiPoly(1, accumulate(((j,), _qpoly_from_qexp(tab))
+                                  for j, tab in even_num_coeffs(sign).items()))
     den = [MultiPoly.const(1, 1) - MultiPoly.monomial(1, (2,), PP_ONE)] * 7
     den.append(MultiPoly.const(1, 1) - MultiPoly.monomial(1, (4,), ParamPoly.q_power(1)))
     return expand(RationalFunction(num, den), n_max, provenance="even centre closed form")
@@ -383,21 +358,12 @@ def local_G_value(z, qloc_inv_sqrt, a: int):
 #    variable of the *global* series (z = t**degp substitution applied) -----
 
 def _geom_univ(coeffs, caps_n, ratio_exp, ratio_coef, power=1):
-    """Multiply a coefficient list by (1 - ratio_coef*t^ratio_exp)^-power."""
+    """Multiply a coefficient list by (1 - ratio_coef*t^ratio_exp)^-power:
+    ``power`` passes of c[j] += ratio_coef * c[j - ratio_exp], j increasing."""
     out = list(coeffs)
-    weight = 1
-    ck = ratio_coef
-    k = 1
-    while k * ratio_exp <= caps_n:
-        weight = weight * (k + power - 1) // k
-        w = ck * weight
-        base = coeffs
-        for j in range(0, caps_n + 1 - k * ratio_exp):
-            c = base[j]
-            if c:
-                out[j + k * ratio_exp] = out[j + k * ratio_exp] + c * w
-        ck = ck * ratio_coef
-        k += 1
+    for _ in range(power):
+        for j in range(ratio_exp, caps_n + 1):
+            out[j] = out[j] + ratio_coef * out[j - ratio_exp]
     return out
 
 
@@ -443,8 +409,9 @@ def explicit_center_t4_series(q: int, n_max: int):
     return series
 
 
+@lru_cache(maxsize=None)
 def local_factor_series(q: int, degp: int, n_max: int):
-    """(F, G0, G1) as t-series coefficient lists up to n_max over Q(sqrt q).
+    """(F, G0, G1) as t-series coefficient tuples up to n_max over Q(sqrt q).
 
     t is the grading variable of the global central direction; the local
     argument is z = t**degp.
@@ -458,7 +425,7 @@ def local_factor_series(q: int, degp: int, n_max: int):
             if j * degp > n_max:
                 break
             out[j * degp] = c
-        return out
+        return tuple(out)
 
     # F: ((1+7z^2+7z^4+z^6)/den - 1)/z^2
     # build in z-units first (cap generous), then shift by z^-2 and lift
@@ -476,10 +443,7 @@ def local_factor_series(q: int, degp: int, n_max: int):
     F_z = fz[2:]  # divided by z^2
 
     # G parts: (1 -+ Q)^-3 * num(sign) / den - (1 -+ Q)^-3, over Q(sqrt q)
-    if degp % 2 == 0:
-        Qv = QuadValue(q, Fraction(1, q ** (degp // 2)), 0)
-    else:
-        Qv = QuadValue(q, 0, Fraction(1, q ** ((degp + 1) // 2)))
+    Qv = _qpow_half(q, -degp)
     parts = {}
     for sign in (+1, -1):
         numz_s = [zero] * (zcap + 1)

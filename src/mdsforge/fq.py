@@ -14,20 +14,16 @@ is kept as a cross-check oracle.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for d in range(2, isqrt_int(n) + 1):
+    for d in range(2, isqrt(n) + 1):
         if n % d == 0:
             return False
     return True
-
-
-def isqrt_int(n: int) -> int:
-    from math import isqrt
-    return isqrt(n)
 
 
 class FqField:
@@ -190,7 +186,6 @@ class FqField:
             self.inv[a] = next(b for b in range(1, q) if self.mul[a][b] == 1)
         squares = {self.mul[a][a] for a in range(1, q)}
         self.is_square = [a in squares for a in range(q)]
-        self.is_square[0] = True  # convention: only used for units via sgn
         # quadratic character on F_q (0 on 0)
         self.chi2 = [0] * q
         for a in range(1, q):
@@ -236,21 +231,6 @@ def trim(a):
     while i and a[i - 1] == 0:
         i -= 1
     return tuple(a[:i])
-
-
-def padd(F: FqField, a, b):
-    tab = F.addtab
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = tab[out[i]][c]
-    return trim(out)
-
-
-def pneg(F: FqField, a):
-    neg = F.neg
-    return tuple(neg[c] for c in a)
 
 
 def pmul(F: FqField, a, b):
@@ -364,7 +344,7 @@ def sgn(F: FqField, d) -> int:
     """+1 iff the leading coefficient is a square in F_q^x."""
     if not d:
         raise ValueError("sgn of the zero polynomial")
-    return 1 if F.is_square[d[-1]] else -1
+    return F.chi2[d[-1]]
 
 
 # -- enumeration -------------------------------------------------------------
@@ -505,10 +485,6 @@ def mobius(F: FqField, m) -> int:
     if any(mult > 1 for _, mult in fs):
         return 0
     return -1 if len(fs) % 2 else 1
-
-
-def omega(F: FqField, m) -> int:
-    return len(factor(F, m)[1])
 
 
 def square_decomposition(F: FqField, m):

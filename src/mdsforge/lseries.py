@@ -95,19 +95,11 @@ def coeff_sums(F: FqField, top, n_max: int, skip=()):
             s = data[fq.pmod(F, top, p)]
         else:
             s = fq.kronecker(F, top, p)
-        # multiply coeffs by (1 + s t^dp + s^2 t^2dp + ...)
+        # divide coeffs by 1 - s t^dp, i.e. multiply by 1 + s t^dp + s^2 t^2dp + ...
         if s == 0:
             continue
-        new = coeffs[:]
-        power = s
-        shift = dp
-        while shift <= n_max:
-            for j in range(0, n_max + 1 - shift):
-                if coeffs[j]:
-                    new[j + shift] += power * coeffs[j]
-            power *= s
-            shift += dp
-        coeffs = new
+        for j in range(dp, n_max + 1):
+            coeffs[j] += s * coeffs[j - dp]
     return coeffs
 
 
@@ -151,10 +143,6 @@ class LPolynomial:
         self.conductor_degree = D
         # genus bookkeeping: 2g = D-1 (odd D) or D-2 (even D), non-constant b0
         self.two_g = 0 if D <= 0 else (D - 1 if D % 2 else D - 2)
-
-    @property
-    def sgn(self) -> int:
-        return 1 if self.F.is_square[self.unit] else -1
 
     def central_parts(self):
         """Integers (A, B, k) with L(q**(-1/2)) = (A + B*sqrt q) / q**k and
@@ -224,8 +212,7 @@ def l_polynomial(F: FqField, b0, unit: int = 1, mode: str = "fe_completed") -> L
         raise ValueError("zero conductor")
     D = fq.deg(b0)
     if D == 0:
-        sgn_u = 1 if F.is_square[unit] else -1
-        return LPolynomial(F, unit, b0, [], special="zeta" if sgn_u == 1 else "minus")
+        return LPolynomial(F, unit, b0, [], special="zeta" if F.chi2[unit] == 1 else "minus")
     if not fq.is_monic(b0):
         raise ValueError("conductor must be unit * monic")
     if not fq.is_squarefree(F, b0):
@@ -237,8 +224,7 @@ def l_polynomial(F: FqField, b0, unit: int = 1, mode: str = "fe_completed") -> L
     elif mode == "fe_completed":
         half = (D - 1) // 2 if D % 2 else D // 2 - 1
         lower = coeff_sums(F, top, max(half, 0))
-        sgn_u = 1 if F.is_square[unit] else -1
-        coeffs = _fe_complete(F, sgn_u, D, lower)
+        coeffs = _fe_complete(F, F.chi2[unit], D, lower)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return LPolynomial(F, unit, b0, coeffs)

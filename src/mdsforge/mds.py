@@ -17,10 +17,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from . import d4, fq, lseries
 from .fq import FqField
-from .rings import (ParamPoly, QuadValue, QuarticValue, rho_value,
+from .rings import (ParamPoly, QuadValue, QuarticValue, accumulate, rho_value,
                     RHO_CLASSES)
 
 
@@ -59,10 +60,6 @@ def chi(F: FqField, unit: int, monic_tops, m) -> int:
     if unit != 1:
         top = fq.pscale(F, top, unit)
     return fq.kronecker(F, top, m)
-
-
-def sgn_unit(F: FqField, unit: int) -> int:
-    return 1 if F.is_square[unit] else -1
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +267,15 @@ def zc_buckets_vers0(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
             ctx = _BruteForceContext(F, tw.a1, tw.c1, d0)
             chi_a2c2_d0 = chi(F, tw.a2, (tw.c2,), d0)
             table = _tuple_sum_for_d(F, ctx, dprof, cset, total_max - n4, profiles)
-            for (n1, n2, n3), v in table.items():
-                key = (n1, n2, n3, n4)
-                out[key] = out.get(key, 0) + chi_a2c2_d0 * v
-    return {k: v for k, v in out.items() if v}
+            accumulate((((n1, n2, n3, n4), chi_a2c2_d0 * v)
+                        for (n1, n2, n3), v in table.items()), out)
+    return out
 
 
-def _poly3_mul(a, b, caps):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            if e[0] > caps[0] or e[1] > caps[1] or e[2] > caps[2]:
-                continue
-            out[e] = out.get(e, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v}
+def _poly3_mul(a, b, cap):
+    """Product of {exponent triple: int} dicts, keeping exponents <= cap."""
+    return accumulate((e, c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()
+                      if max(e := tuple(map(add, e1, e2))) <= cap)
 
 
 def zc_buckets_vers1(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
@@ -315,25 +306,18 @@ def zc_buckets_vers1(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
                     piece = _correction_at_prime(2 * mult, dp, qp, s)
                 else:
                     piece = _correction_at_prime(2 * mult + 1, dp, qp, 1)
-                pd = _poly3_mul(pd, piece, (m_total, m_total, m_total))
+                pd = _poly3_mul(pd, piece, m_total)
             if not ok:
                 raise ArithmeticError("unexpected character degeneration")
-            for (e1, e2, e3), cpd in pd.items():
-                for n1 in range(e1, m_total + 1):
-                    c1v = lcoeffs[n1 - e1]
-                    if not c1v:
-                        continue
-                    for n2 in range(e2, m_total + 1 - n1):
-                        c2v = lcoeffs[n2 - e2]
-                        if not c2v:
-                            continue
-                        for n3 in range(e3, m_total + 1 - n1 - n2):
-                            c3v = lcoeffs[n3 - e3]
-                            if not c3v:
-                                continue
-                            key = (n1, n2, n3, n4)
-                            out[key] = out.get(key, 0) + chi_d0 * cpd * c1v * c2v * c3v
-    return {k: v for k, v in out.items() if v}
+            accumulate((((n1, n2, n3, n4), chi_d0 * cpd * c1v * c2v * c3v)
+                        for (e1, e2, e3), cpd in pd.items()
+                        for n1 in range(e1, m_total + 1)
+                        if (c1v := lcoeffs[n1 - e1])
+                        for n2 in range(e2, m_total + 1 - n1)
+                        if (c2v := lcoeffs[n2 - e2])
+                        for n3 in range(e3, m_total + 1 - n1 - n2)
+                        if (c3v := lcoeffs[n3 - e3])), out)
+    return out
 
 
 def zc_buckets_vers2(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
@@ -372,21 +356,13 @@ def zc_buckets_vers2(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
                         if s == 0:
                             raise ArithmeticError("central character degenerates")
                         piece = _correction_at_prime(tuple(kk), dp, F.q ** dp, s)
-                        new = {}
-                        for e1, c1 in qm.items():
-                            for (e2,), c2 in piece.items():
-                                if e1 + e2 <= n4_cap:
-                                    new[e1 + e2] = new.get(e1 + e2, 0) + c1 * c2
-                        qm = new
-                    for n4 in range(n4_cap + 1):
-                        total = 0
-                        for e, cq in qm.items():
-                            if e <= n4 and lcoeffs[n4 - e]:
-                                total += cq * lcoeffs[n4 - e]
-                        if total:
-                            key = (n1, n2, n3, n4)
-                            out[key] = out.get(key, 0) + chi_n0 * total
-    return {k: v for k, v in out.items() if v}
+                        qm = accumulate((e1 + e2, c1 * c2) for e1, c1 in qm.items()
+                                        for (e2,), c2 in piece.items() if e1 + e2 <= n4_cap)
+                    accumulate((((n1, n2, n3, n4),
+                                 chi_n0 * sum(cq * lcoeffs[n4 - e]
+                                              for e, cq in qm.items() if e <= n4))
+                                for n4 in range(n4_cap + 1)), out)
+    return out
 
 
 ROUTES = {"vers0": zc_buckets_vers0, "vers1": zc_buckets_vers1,
@@ -416,18 +392,8 @@ def _l_correction(F: FqField, unit, monics, skip_primes) -> QuadValue:
     q = F.q
     out = QuadValue(q, 1, 0)
     for p in skip_primes:
-        s = chi(F, unit, monics, p)
-        dp = fq.deg(p)
-        if dp % 2 == 0:
-            t = QuadValue(q, Fraction(s, q ** (dp // 2)), 0)
-        else:
-            t = QuadValue(q, 0, Fraction(s, q ** ((dp + 1) // 2)))
-        out = out * (QuadValue(q, 1, 0) - t)
+        out = out * (1 - d4._qpow_half(q, -fq.deg(p)) * chi(F, unit, monics, p))
     return out
-
-
-def _central_l_value(F: FqField, unit: int, conductor_monic) -> QuadValue:
-    return lseries.l_polynomial(F, conductor_monic, unit).central_value()
 
 
 def zc_t4_series(F: FqField, tw: TwistSpec, n_max: int):
@@ -444,7 +410,7 @@ def zc_t4_series(F: FqField, tw: TwistSpec, n_max: int):
             if not _coprime_to(F, d0, tw.c_primes):
                 continue
             cond = fq.pmul(F, tw.c1, d0)
-            lval = _central_l_value(F, tw.a1, cond)
+            lval = lseries.central_value(F, cond, tw.a1)
             lval = lval * _l_correction(F, tw.a1, (tw.c1, d0), skip)
             lcube = lval ** 3
             s_d0 = chi(F, tw.a2, (tw.c2,), d0)
@@ -473,8 +439,8 @@ def sieved_t4_series(F: FqField, h, a2: int, n_max: int):
             if a + 2 * b > n_max:
                 continue
             for d0 in fq.enumerate_monic(F, a, "squarefree"):
-                lcube = _central_l_value(F, 1, d0) ** 3
-                s_d0 = 1 if a2 == 1 else sgn_unit(F, a2) ** fq.deg(d0)
+                lcube = lseries.central_value(F, d0) ** 3
+                s_d0 = F.chi2[a2] ** fq.deg(d0)
                 for e in fq.enumerate_monic(F, e_deg):
                     d1 = fq.pmul(F, h, e)
                     val = lcube * pd_value(F, d0, d1, 1, (d0,)) * s_d0
@@ -492,7 +458,7 @@ def z0_buckets(F: FqField, a2: int, total_max: int):
     profiles = _monic_profiles((F.p, F.e), total_max)
     for n4 in range(total_max + 1):
         for d0 in fq.enumerate_monic(F, n4, "squarefree"):
-            s_d0 = sgn_unit(F, a2) ** n4 if a2 != 1 else 1
+            s_d0 = F.chi2[a2] ** n4
             ctx = _BruteForceContext(F, 1, fq.P_ONE, d0)
             m_budget = total_max - n4
             # chi_{d0}(m) with no hatting: a shared prime kills the term
@@ -508,18 +474,11 @@ def z0_buckets(F: FqField, a2: int, total_max: int):
                         if mult % 2:
                             v *= s
                     plain[n] += v
-            for n1 in range(m_budget + 1):
-                if not plain[n1]:
-                    continue
-                for n2 in range(m_budget + 1 - n1):
-                    if not plain[n2]:
-                        continue
-                    for n3 in range(m_budget + 1 - n1 - n2):
-                        total = plain[n1] * plain[n2] * plain[n3]
-                        if total:
-                            key = (n1, n2, n3, n4)
-                            out[key] = out.get(key, 0) + total * s_d0
-    return {k: v for k, v in out.items() if v}
+            accumulate((((n1, n2, n3, n4), plain[n1] * plain[n2] * plain[n3] * s_d0)
+                        for n1 in range(m_budget + 1) if plain[n1]
+                        for n2 in range(m_budget + 1 - n1) if plain[n2]
+                        for n3 in range(m_budget + 1 - n1 - n2)), out)
+    return out
 
 
 def sieved_buckets(F: FqField, h, a2: int, total_max: int):
@@ -536,7 +495,7 @@ def sieved_buckets(F: FqField, h, a2: int, total_max: int):
             if b < dh:
                 continue
             for d0 in fq.enumerate_monic(F, a, "squarefree"):
-                s_d0 = sgn_unit(F, a2) ** a if a2 != 1 else 1
+                s_d0 = F.chi2[a2] ** a
                 ctx = _BruteForceContext(F, 1, fq.P_ONE, d0)
                 for e in fq.enumerate_monic(F, b - dh):
                     d1 = fq.pmul(F, h, e)
@@ -544,10 +503,9 @@ def sieved_buckets(F: FqField, h, a2: int, total_max: int):
                     dprof = fq.factor(F, d)[1]
                     table = _tuple_sum_for_d(F, ctx, dprof, None,
                                              total_max - n4, profiles)
-                    for (n1, n2, n3), v in table.items():
-                        key = (n1, n2, n3, n4)
-                        out[key] = out.get(key, 0) + v * s_d0
-    return {k: v for k, v in out.items() if v}
+                    accumulate((((n1, n2, n3, n4), v * s_d0)
+                                for (n1, n2, n3), v in table.items()), out)
+    return out
 
 
 def check_sieve_identity(F: FqField, a2: int, total_max: int):
@@ -560,9 +518,7 @@ def check_sieve_identity(F: FqField, a2: int, total_max: int):
             h_list.append(h)
             mu = fq.mobius(F, h)
             table = sieved_buckets(F, h, a2, total_max)
-            for k, v in table.items():
-                acc[k] = acc.get(k, 0) + mu * v
-    acc = {k: v for k, v in acc.items() if v}
+            accumulate(((k, mu * v) for k, v in table.items()), acc)
     keys = set(z0) | set(acc)
     diffs = [(k, z0.get(k, 0), acc.get(k, 0)) for k in sorted(keys)
              if z0.get(k, 0) != acc.get(k, 0)]
@@ -577,7 +533,7 @@ def check_sieve_identity(F: FqField, a2: int, total_max: int):
 def _useries_mul(a, b, n_max, zero):
     out = [zero] * (n_max + 1)
     for i, x in enumerate(a):
-        if x.is_zero() if hasattr(x, "is_zero") else x == 0:
+        if x.is_zero():
             continue
         for j, y in enumerate(b):
             if i + j > n_max:
@@ -769,7 +725,7 @@ def residue_three_quarters(F: FqField, tw: TwistSpec, rho: str) -> QuarticValue:
         raise ValueError("the residue formula requires a1 = 1")
     q = F.q
     sgn_tp = 1 if rho in ("1", "-1") else -1
-    sgn_a2 = sgn_unit(F, tw.a2)
+    sgn_a2 = F.chi2[tw.a2]
     pref = Fraction(chi(F, tw.a2, (tw.c2,), tw.c1), 8)
     gam = gamma_constant(q, sgn_a2, sgn_tp, rho)
     lpow = central_l_theta_power7(q, sgn_tp)
@@ -804,7 +760,7 @@ def residue_three_quarters_sum_route(F: FqField, tw: TwistSpec, rho: str) -> Qua
     q = F.q
     rv = rho_value(q, rho)
     sgn_tp = 1 if rho in ("1", "-1") else -1
-    sgn_a2 = sgn_unit(F, tw.a2)
+    sgn_a2 = F.chi2[tw.a2]
     unit_tp = 1 if sgn_tp == 1 else F.nonsquare_unit
     unit_mix = F.mul[unit_tp][tw.a2]
 
@@ -993,13 +949,9 @@ def per_prime_residue_identity(F: FqField, degp: int, rho: str) -> bool:
     rv = rho_value(q, rho)
     sgn_tp = 1 if rho in ("1", "-1") else -1
     s = _chi_tp(sgn_tp, degp)
-    Q = QuarticValue.root4(q, -2 * degp)
-    sQ = Q * s
-    # branch weights, mirroring the three local product shapes
-    loc1 = (1 - sQ) ** 8 * (1 + sQ) ** 2 * (1 + sQ * 6 + Q * Q)
-    loc2 = (1 - sQ) ** 8 * (1 + sQ) * (3 + sQ * 7 + Q * Q * 3)
-    loc3 = ((1 - sQ) ** 8 * (1 + sQ)
-            * (1 + sQ * 7 + Q * Q * 13 + sQ * Q * Q * 7 + Q ** 4))
+    # branch weights, built on the three local product shapes
+    loc1, loc2, loc3 = (_local_product_factor(q, degp, sgn_tp, which)
+                        for which in ("c1", "c2", "c3"))
     wF = (rv ** degp * QuarticValue.root4(q, -degp) * loc1
           * _local_value_F(q, degp, rho)
           * rv.conj() ** degp * QuarticValue.root4(q, -3 * degp))
@@ -1108,7 +1060,7 @@ def residue_z0_three_quarters(F: FqField, a2: int, rho: str,
     """
     q = F.q
     sgn_tp = 1 if rho in ("1", "-1") else -1
-    sgn_a2 = sgn_unit(F, a2)
+    sgn_a2 = F.chi2[a2]
     pref = (gamma_constant(q, sgn_a2, sgn_tp, rho)
             * central_l_theta_power7(q, sgn_tp) * Fraction(1, 8))
 
@@ -1176,9 +1128,8 @@ def check_residue_w1():
 
     def build():
         """Cancel the boundary zeta pole and evaluate at t4 = 1/q."""
-        num = MultiPoly(3)
-        for e1, e2, e3, e4, a, c in d4data.NUM_TERMS:
-            num += MultiPoly.monomial(3, (e1, e2, e3), ParamPoly.q_power(a - e4, c))
+        num = MultiPoly(3, accumulate(((e1, e2, e3), ParamPoly.q_power(a - e4, c))
+                                      for e1, e2, e3, e4, a, c in d4data.NUM_TERMS))
         dens = [MultiPoly.const(3, 1)
                 - MultiPoly.monomial(3, exps[:3], ParamPoly.q_power(a - exps[3]))
                 for a, exps in d4data.DEN_FACTORS

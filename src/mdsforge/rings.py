@@ -34,6 +34,22 @@ def _fr(x) -> Fraction:
     return Fraction(x)
 
 
+def accumulate(pairs, out=None) -> dict:
+    """Sum (key, value) pairs into ``out`` (a new dict by default) and return
+    it; a key whose sum is zero is dropped.  Values are ints, Fractions or
+    ParamPolys: anything with ``+`` and a truth value that is False at zero."""
+    if out is None:
+        out = {}
+    for k, v in pairs:
+        s = out.get(k)
+        s = v if s is None else s + v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # ParamPoly
 # ---------------------------------------------------------------------------
@@ -67,20 +83,16 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.half
 
+    def __bool__(self) -> bool:
+        return bool(self.half)
+
     def is_one(self) -> bool:
         return self.half == {0: ONE}
 
     def __add__(self, other):
         if not isinstance(other, ParamPoly):
             other = ParamPoly.const(other)
-        out = dict(self.half)
-        for k, c in other.half.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return ParamPoly(out)
+        return ParamPoly(accumulate(other.half.items(), dict(self.half)))
 
     __radd__ = __add__
 
@@ -98,18 +110,9 @@ class ParamPoly:
     def __mul__(self, other):
         if not isinstance(other, ParamPoly):
             other = ParamPoly.const(other)
-        if not self.half or not other.half:
-            return ParamPoly()
-        out = {}
-        for k1, c1 in self.half.items():
-            for k2, c2 in other.half.items():
-                k = k1 + k2
-                s = out.get(k, ZERO) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return ParamPoly(out)
+        return ParamPoly(accumulate((k1 + k2, c1 * c2)
+                                    for k1, c1 in self.half.items()
+                                    for k2, c2 in other.half.items()))
 
     __rmul__ = __mul__
 
@@ -229,15 +232,7 @@ class MultiPoly:
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.n, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MultiPoly(self.n, out)
+        return MultiPoly(self.n, accumulate(other.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -260,30 +255,11 @@ class MultiPoly:
             return MultiPoly(self.n, {e: cc * c for e, cc in self.terms.items()})
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(self.n, out)
+        return MultiPoly(self.n, accumulate((tuple(map(add, e1, e2)), c1 * c2)
+                                            for e1, c1 in self.terms.items()
+                                            for e2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        r = MultiPoly.const(self.n, 1)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
 
     def substitute_zero(self, var: int) -> "MultiPoly":
         out = {}
@@ -293,19 +269,8 @@ class MultiPoly:
         return MultiPoly(self.n, out)
 
     def derivative(self, var: int) -> "MultiPoly":
-        out = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            if k:
-                e2 = e[:var] + (k - 1,) + e[var + 1:]
-                c2 = c * k
-                s = out.get(e2)
-                s = c2 if s is None else s + c2
-                if not s.is_zero():
-                    out[e2] = s
-                else:
-                    out.pop(e2, None)
-        return MultiPoly(self.n, out)
+        return MultiPoly(self.n, accumulate((e[:var] + (e[var] - 1,) + e[var + 1:], c * e[var])
+                                            for e, c in self.terms.items() if e[var]))
 
     def eval(self, point, sqrtq: Fraction) -> Fraction:
         tot = ZERO
@@ -513,48 +478,18 @@ class TruncSeries:
         return TruncSeries(self.n, self.total, self.caps, provenance=self.provenance)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
         r = self.clone_empty()
-        r.terms = out
-        return r
-
-    def __sub__(self, other):
-        r = self.clone_empty()
-        r.terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = r.terms.get(e)
-            s = -c if s is None else s - c
-            if s.is_zero():
-                r.terms.pop(e, None)
-            else:
-                r.terms[e] = s
+        r.terms = accumulate(other.terms.items(), dict(self.terms))
         return r
 
     def mul_poly(self, p: MultiPoly):
         """Multiply by a polynomial, truncating."""
-        out = {}
         keep = self._keep
-        for e1, c1 in self.terms.items():
-            for e2, c2 in p.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if not keep(e):
-                    continue
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
         r = self.clone_empty()
-        r.terms = out
+        r.terms = accumulate((e, c1 * c2)
+                             for e1, c1 in self.terms.items()
+                             for e2, c2 in p.terms.items()
+                             if keep(e := tuple(map(add, e1, e2))))
         return r
 
     def __mul__(self, other):
@@ -628,13 +563,9 @@ def _geometric_pass(terms, exps, coef, total, caps):
         acc = {}
         e = start
         for _ in range(steps + 1):
-            nxt = {}
-            for hc, vc in coef.items():
-                for h, v in acc.items():
-                    nxt[h + hc] = nxt.get(h + hc, 0) + v * vc
-            for h, v in terms.get(e, {}).items():
-                nxt[h] = nxt.get(h, 0) + v
-            acc = {h: v for h, v in nxt.items() if v}
+            acc = accumulate(terms.get(e, {}).items(),
+                             accumulate((h + hc, v * vc) for hc, vc in coef.items()
+                                        for h, v in acc.items()))
             if acc:
                 out[e] = acc
             e = tuple(map(add, e, exps))

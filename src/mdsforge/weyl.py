@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import MultiPoly, ParamPoly, PP_ONE, RationalFunction
+from .rings import MultiPoly, ParamPoly, PP_ONE, RationalFunction, accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +235,14 @@ def _subst_eps_poly(p: MultiPoly, rs: RootSystem, i: int) -> MultiPoly:
 def _subst_sigma_poly(p: MultiPoly, rs: RootSystem, i: int):
     """p(s_i . z) = result * z_i**(-shift); returns (result, shift)."""
     adj = rs.adjacent[i]
-    raw = {}
-    min_ei = 0
-    for e, c in p.terms.items():
-        ei = e[i - 1]
-        s_adj = sum(e[j - 1] for j in adj)
-        new_ei = s_adj - ei
-        min_ei = min(min_ei, new_ei)
-        # q-power: q^(-ei) * sqrt(q)^(s_adj)  -> half-units: -2 ei + s_adj
-        coef = c * ParamPoly.q_power(s_adj - 2 * ei, 1, half_units=True)
-        key = e[:i - 1] + (new_ei,) + e[i:]
-        prev = raw.get(key)
-        raw[key] = coef if prev is None else prev + coef
-    shift = -min_ei
-    out = {}
-    for e, c in raw.items():
-        if c.is_zero():
-            continue
-        out[e[:i - 1] + (e[i - 1] + shift,) + e[i:]] = c
+    # z_i**e_i -> z_i**(s_adj - e_i) q**(-e_i) sqrt(q)**s_adj, with s_adj the
+    # exponent sum over the neighbours of i; half-units -2 e_i + s_adj
+    raw = accumulate((e[:i - 1] + (s_adj - e[i - 1],) + e[i:],
+                      c * ParamPoly.q_power(s_adj - 2 * e[i - 1], 1, half_units=True))
+                     for e, c in p.terms.items()
+                     for s_adj in (sum(e[j - 1] for j in adj),))
+    shift = -min([0] + [e[i - 1] for e in raw])
+    out = {e[:i - 1] + (e[i - 1] + shift,) + e[i:]: c for e, c in raw.items()}
     return MultiPoly(p.n, out), shift
 
 

@@ -76,6 +76,19 @@ def test_clear_geometric_matches_general_product():
             assert d4.q_poly(*k).terms == cleared
 
 
+def test_geom_univ_inverts_unit_power():
+    # multiplying by (1 - r t^s)^k, truncated at n, undoes the k-fold division
+    n = 11
+    for q in (5, 9):
+        r = QuadValue(q, Fraction(2, 3), -1)
+        c = [QuadValue(q, j - 3, Fraction(1, j + 1)) for j in range(n + 1)]
+        for s, k in ((1, 1), (1, 3), (2, 7), (3, 2), (4, 1)):
+            out = d4._geom_univ(c, n, s, r, power=k)
+            for _ in range(k):
+                out = [x - r * out[j - s] if j >= s else x for j, x in enumerate(out)]
+            assert out == c, (q, s, k)
+
+
 def test_extraction_symmetry():
     P2 = d4.p_poly(2)
     for e, c in P2.terms.items():

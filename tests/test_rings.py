@@ -6,7 +6,23 @@ import pytest
 
 from mdsforge.rings import (MultiPoly, ParamPoly, PP_ONE, QuadValue,
                             QuarticValue, RationalFunction, TruncSeries,
-                            expand, rat_equal, tower_eval, tower_float)
+                            accumulate, expand, rat_equal, tower_eval,
+                            tower_float)
+
+
+def test_accumulate():
+    # pairs that cancel leave no key, for every coefficient type in use
+    for one in (1, Fraction(1, 3), ParamPoly.q_power(1, 2) + 1):
+        pairs = [("a", one), ("b", one), ("a", -one), ("c", -one), ("c", one)]
+        assert accumulate(pairs) == {"b": one}
+        assert accumulate([("a", one - one)]) == {}
+    # a given dict is updated in place and returned
+    base = {"a": 2, "b": 1}
+    assert accumulate([("a", -2), ("c", 5), ("b", 1)], base) is base
+    assert base == {"b": 2, "c": 5}
+    assert bool(ParamPoly()) is False
+    assert bool(PP_ONE - PP_ONE) is False
+    assert bool(PP_ONE) is True
 
 
 def test_eval_int():
