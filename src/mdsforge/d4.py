@@ -112,12 +112,22 @@ def p_poly(l: int, cap_outer: int = 12, cap_center: int = 10) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
+def _outer_slices(cap_outer: int, cap_center: int) -> dict:
+    """The exponents of ``f_series_capped`` grouped by outer triple:
+    (k1, k2, k3) -> [(k1, k2, k3, l), ...]."""
+    out = {}
+    for e in f_series_capped(cap_outer, cap_center).terms:
+        out.setdefault(e[:3], []).append(e)
+    return out
+
+
+@lru_cache(maxsize=None)
 def q_poly(k1: int, k2: int, k3: int, cap_outer: int = 12, cap_center: int = 10) -> MultiPoly:
     """The polynomial in the central variable multiplying z1^k1 z2^k2 z3^k3."""
     if max(k1, k2, k3) > cap_outer:
         raise ValueError("outer index beyond cap")
-    series = f_series_capped(cap_outer, cap_center)
-    terms = {e[3:]: c for e, c in series.terms.items() if e[:3] == (k1, k2, k3)}
+    series = f_series_capped(cap_outer, cap_center).terms
+    terms = {e[3:]: series[e] for e in _outer_slices(cap_outer, cap_center).get((k1, k2, k3), ())}
     if (k1 + k2 + k3) % 2 == 0:
         terms = _clear_geometric(terms, (0,), cap_center)
     observed = max((e[0] for e in terms), default=0)

@@ -10,7 +10,6 @@ special forms 1/(1 - q**(1-s)) and 1/(1 + q**(1-s)).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import fq
@@ -29,13 +28,17 @@ SYMBOL_TABLE_MAX_NORM = 2048
 @lru_cache(maxsize=None)
 def _residue_symbol_table(field_key, p):
     """(r/p) for every residue r mod the irreducible p, as a dict: the
-    nonzero squares r*r mod p map to +1, the other nonzero residues to -1."""
+    nonzero squares map to +1, the other nonzero residues to -1.  Every
+    nonzero square is (c*m)**2 = c**2 * m**2 with m monic, so each monic m is
+    squared once and m*m mod p is scaled by the (q-1)/2 square units."""
     F = fq.build_field(*field_key)
-    nonzero = [fq.pscale(F, m, c) for n in range(fq.deg(p))
-               for m in fq.enumerate_monic(F, n) for c in range(1, F.q)]
-    table = dict.fromkeys(nonzero, -1)
-    for r in nonzero:
-        table[fq.pmod(F, fq.pmul(F, r, r), p)] = 1
+    monic = [m for n in range(fq.deg(p)) for m in fq.enumerate_monic(F, n)]
+    table = {fq.pscale(F, m, c): -1 for m in monic for c in range(1, F.q)}
+    square_units = [u for u in range(1, F.q) if F.chi2[u] == 1]
+    for m in monic:
+        s = fq.pmod(F, fq.pmul(F, m, m), p)
+        for u in square_units:
+            table[fq.pscale(F, s, u)] = 1
     table[fq.P_ZERO] = 0
     return table
 
@@ -170,7 +173,7 @@ class LPolynomial:
         if self.special == "minus":
             return 1 / (1 + QuadValue.sqrt_q(q))
         a, b, k = self.central_parts()
-        return QuadValue(q, Fraction(a, q ** k), Fraction(b, q ** k))
+        return QuadValue(q, a, b, q ** k)
 
     def eval_u(self, u):
         """Evaluate the polynomial at a numeric/complex u."""

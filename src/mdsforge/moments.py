@@ -26,24 +26,16 @@ from .rings import QuadValue, QuarticValue, tower_float
 # ---------------------------------------------------------------------------
 
 def _moment_partial(args):
-    """Worker: over an index range of monic degree-D polys, the integers
-    (a, b) with sum of L(1/2)**3 = (a + b*sqrt q) / q**(3*(D//2)) over the
-    square-free ones; each cube (A + B sqrt q)**3 of the central parts is
-    A(A^2 + 3qB^2) + B(3A^2 + qB^2) sqrt q."""
+    """Worker: over an index range of monic degree-D polys, the sum of
+    L(1/2)**3 over the square-free ones."""
     p, e, D, start, stop = args
     F = fq.build_field(p, e)
-    q = F.q
-    a = b = 0
+    total = QuadValue(F.q)
     for idx in range(start, stop):
         d0 = fq.monic_by_index(F, D, idx)
-        if not fq.is_squarefree(F, d0):
-            continue
-        A, B, _ = lseries.l_polynomial(F, d0).central_parts()
-        A2 = A * A
-        qB2 = q * B * B
-        a += A * (A2 + 3 * qB2)
-        b += B * (3 * A2 + qB2)
-    return a, b
+        if fq.is_squarefree(F, d0):
+            total = total + lseries.l_polynomial(F, d0).central_value() ** 3
+    return total
 
 
 def moment_sum(F: FqField, D: int, workers: int = 1) -> QuadValue:
@@ -60,9 +52,7 @@ def moment_sum(F: FqField, D: int, workers: int = 1) -> QuadValue:
                 for k in range(workers) if k * chunk < total]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_moment_partial, jobs)
-    den = F.q ** (3 * (D // 2))
-    return QuadValue(F.q, Fraction(sum(a for a, _ in parts), den),
-                     Fraction(sum(b for _, b in parts), den))
+    return sum(parts, QuadValue(F.q))
 
 
 # -- cache ---------------------------------------------------------------
@@ -213,8 +203,9 @@ def r_term(F: FqField, D: int, deg_max: int = 8, dps: int = 50):
         q4 = mpmath.power(q, mpmath.mpf(1) / 4)
 
         def quartic_to_complex(v: QuarticValue):
-            re = sum(float(c.re) * q4 ** j for j, c in enumerate(v.coeffs))
-            im = sum(float(c.im) * q4 ** j for j, c in enumerate(v.coeffs))
+            c = v.coordinates()
+            re = sum(float(c[j]) * q4 ** j for j in range(4))
+            im = sum(float(c[j + 4]) * q4 ** j for j in range(4))
             return mpmath.mpc(re, im)
 
         B1 = quartic_to_complex(b_plus).real

@@ -1,7 +1,8 @@
 """Exact coefficient rings for the symbolic engine.
 
-Everything here is built on ``fractions.Fraction``; no floating point enters
-any identity check.  The main types:
+Everything here is exact: ``fractions.Fraction`` coefficients, and in the
+two towers integer numerators over one shared denominator.  No floating
+point enters any identity check.  The main types:
 
 * ``ParamPoly``   -- Laurent polynomials in the size parameter q, with
                      half-integer exponents allowed (exponents are stored
@@ -13,7 +14,8 @@ any identity check.  The main types:
                      survive substitutions in factored form).
 * ``TruncSeries`` -- truncated power series (total-degree and/or
                      per-variable caps) used for all expansions.
-* ``QuadValue``   -- exact elements a + b*sqrt(q) of Q(sqrt q) at numeric q.
+* ``QuadValue``   -- exact elements (a + b*sqrt(q)) / den of Q(sqrt q) at
+                     numeric q.
 * ``QuarticValue``-- exact elements of Q(i, q**(1/4)) at numeric q.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from operator import add, sub
 
 ZERO = Fraction(0)
@@ -119,14 +121,7 @@ class ParamPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative ParamPoly power")
-        r = ParamPoly.const(1)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return _power(self, n) if n else ParamPoly.const(1)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -624,7 +619,7 @@ def expand(rf: RationalFunction, total, caps=None, provenance="expand") -> Trunc
 
 
 # ---------------------------------------------------------------------------
-# Quadratic tower Q(sqrt q)
+# Towers Q(sqrt q) and Q(i, q**(1/4)): integer numerators over one denominator
 # ---------------------------------------------------------------------------
 
 _SQRT_CACHE = {}
@@ -640,20 +635,66 @@ def _exact_sqrt(q: int):
     return out
 
 
+def _fill(v, q: int, nums, den: int):
+    """Store nums / den in the tower value v in normal form: den > 0 and
+    gcd(*nums, den) = 1, so equal values have equal coordinates."""
+    g = gcd(*nums, den)
+    if den < 0:
+        g = -g
+    v.q = q
+    if g == 1:
+        v.nums = tuple(nums)
+        v.den = den
+    else:
+        v.nums = tuple([n // g for n in nums])
+        v.den = den // g
+    return v
+
+
+def _power(x, k: int):
+    """x**k for k != 0 by binary powering, with x inverted first when k < 0."""
+    if k < 0:
+        x, k = x.inverse(), -k
+    r = None
+    while True:
+        if k & 1:
+            r = x if r is None else r * x
+        k >>= 1
+        if not k:
+            return r
+        x = x * x
+
+
+def _quad(q: int, nums, den: int) -> "QuadValue":
+    return _fill(object.__new__(QuadValue), q, nums, den)
+
+
+def _quartic(q: int, nums, den: int) -> "QuarticValue":
+    return _fill(object.__new__(QuarticValue), q, nums, den)
+
+
 class QuadValue:
-    """a + b*sqrt(q) with rational a, b; collapses when q is a square."""
+    """(a + b*sqrt(q)) / den with integers ``nums = (a, b)`` and ``den``, in
+    normal form; b = 0 when q is a square (the value collapses into Q)."""
 
-    __slots__ = ("q", "a", "b")
+    __slots__ = ("q", "nums", "den")
 
-    def __init__(self, q: int, a=0, b=0):
-        self.q = q
-        a = _fr(a)
-        b = _fr(b)
+    def __init__(self, q: int, a=0, b=0, den: int = 1):
+        ad, bd = a.denominator, b.denominator
+        d = ad * bd // gcd(ad, bd)
+        a, b = a.numerator * (d // ad), b.numerator * (d // bd)
         r = _exact_sqrt(q)
-        if r is not None and b:
-            a, b = a + b * r, ZERO
-        self.a = a
-        self.b = b
+        if r is not None:
+            a, b = a + b * r, 0
+        _fill(self, q, (a, b), d * den)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.nums[0], self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.nums[1], self.den)
 
     @staticmethod
     def sqrt_q(q: int) -> "QuadValue":
@@ -664,42 +705,44 @@ class QuadValue:
             if other.q != self.q:
                 raise ValueError("mixed q")
             return other
-        return QuadValue(self.q, other, 0)
+        return QuadValue(self.q, other)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuadValue(self.q, self.a + o.a, self.b + o.b)
+        (a, b), d = self.nums, self.den
+        (c, e), f = o.nums, o.den
+        return _quad(self.q, (a * f + c * d, b * f + e * d), d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadValue(self.q, -self.a, -self.b)
+        a, b = self.nums
+        return _quad(self.q, (-a, -b), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return QuadValue(self.q, self.a - o.a, self.b - o.b)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return QuadValue(self.q, self.a * o.a + self.b * o.b * self.q,
-                         self.a * o.b + self.b * o.a)
+        (a, b), (c, e) = self.nums, o.nums
+        return _quad(self.q, (a * c + b * e * self.q, a * e + b * c), self.den * o.den)
 
     __rmul__ = __mul__
 
     def conj(self) -> "QuadValue":
-        return QuadValue(self.q, self.a, -self.b)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.q
+        a, b = self.nums
+        return _quad(self.q, (a, -b), self.den)
 
     def inverse(self) -> "QuadValue":
-        n = self.norm()
+        """(a + b sqrt q)**-1 = (a - b sqrt q) / (a**2 - q b**2)."""
+        a, b = self.nums
+        n = a * a - b * b * self.q
         if n == 0:
             raise ZeroDivisionError("zero or non-invertible QuadValue")
-        return QuadValue(self.q, self.a / n, -self.b / n)
+        return _quad(self.q, (a * self.den, -b * self.den), n)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -708,137 +751,71 @@ class QuadValue:
         return self._coerce(other) * self.inverse()
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        r = QuadValue(self.q, 1, 0)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return _power(self, k) if k else _quad(self.q, (1, 0), 1)
 
     def __eq__(self, other):
         try:
             o = self._coerce(other)
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, AttributeError):
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
-        return hash((self.q, self.a, self.b))
+        return hash((self.q, self.nums, self.den))
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not any(self.nums)
 
     def __repr__(self):
-        if not self.b:
+        if not self.nums[1]:
             return f"{self.a}"
         return f"{self.a} + {self.b}*sqrt({self.q})"
 
 
-# ---------------------------------------------------------------------------
-# Quartic tower Q(i, q**(1/4))
-# ---------------------------------------------------------------------------
-
-class _Gauss:
-    """Tiny helper: elements of Q(i) as (re, im) Fraction pairs."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = _fr(re)
-        self.im = _fr(im)
-
-    def __add__(self, o):
-        return _Gauss(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return _Gauss(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, o):
-        return _Gauss(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
-
-    def __neg__(self):
-        return _Gauss(-self.re, -self.im)
-
-    def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise ZeroDivisionError("zero Gaussian rational")
-        return _Gauss(self.re / n, -self.im / n)
-
-    def is_zero(self):
-        return not self.re and not self.im
-
-
-def _gpoly_divmod(a, b):
-    """Division with remainder in Q(i)[t]; polys are lists of _Gauss, low first."""
-    a = list(a)
-    db = len(b) - 1
-    while len(b) > 1 and b[-1].is_zero():
-        b = b[:-1]
-        db -= 1
-    inv_lead = b[-1].inverse()
-    quot = [_Gauss() for _ in range(max(0, len(a) - db))]
-    while len(a) - 1 >= db and not all(x.is_zero() for x in a):
-        while len(a) > 1 and a[-1].is_zero():
-            a.pop()
-        da = len(a) - 1
-        if da < db:
-            break
-        coef = a[-1] * inv_lead
-        quot[da - db] = coef
-        for i in range(db + 1):
-            a[da - db + i] = a[da - db + i] - coef * b[i]
-        a.pop()
-    return quot, a
-
-
 class QuarticValue:
-    """Element of Q(i)[t] / (t**4 - q) with t = q**(1/4).
+    """Element of Q(i)[t] / (t**4 - q) with t = q**(1/4), as
+    ``nums = (re_0..re_3, im_0..im_3)`` over ``den`` in normal form: the
+    coordinate of q**(j/4) is (re_j + i*im_j) / den.
 
-    Coordinates: coeffs[j] is the Q(i) coefficient of q**(j/4), j = 0..3.
     When t**4 - q factors over Q (square q) the quotient is a product ring;
     inversion then only succeeds for units, which covers every value this
     library inverts.
     """
 
-    __slots__ = ("q", "coeffs")
+    __slots__ = ("q", "nums", "den")
 
-    def __init__(self, q: int, coeffs=None):
-        self.q = q
-        if coeffs is None:
-            coeffs = (_Gauss(), _Gauss(), _Gauss(), _Gauss())
-        self.coeffs = tuple(coeffs)
+    def __init__(self, q: int, coords=None, den: int = 1):
+        """``coords``: 8 ints or Fractions in the order of ``coordinates()``."""
+        coords = coords or (0,) * 8
+        d = lcm(*[x.denominator for x in coords])
+        _fill(self, q, [x.numerator * (d // x.denominator) for x in coords], d * den)
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_rational(q: int, x) -> "QuarticValue":
-        return QuarticValue(q, (_Gauss(x), _Gauss(), _Gauss(), _Gauss()))
+        return QuarticValue(q, (x, 0, 0, 0, 0, 0, 0, 0))
 
     @staticmethod
     def from_complex_rational(q: int, re, im) -> "QuarticValue":
-        return QuarticValue(q, (_Gauss(re, im), _Gauss(), _Gauss(), _Gauss()))
+        return QuarticValue(q, (re, 0, 0, 0, im, 0, 0, 0))
 
     @staticmethod
     def from_quad(qv: QuadValue) -> "QuarticValue":
-        return QuarticValue(qv.q, (_Gauss(qv.a), _Gauss(), _Gauss(qv.b), _Gauss()))
+        a, b = qv.nums
+        return _quartic(qv.q, (a, 0, b, 0, 0, 0, 0, 0), qv.den)
 
     @staticmethod
     def root4(q: int, power: int = 1, coef=1) -> "QuarticValue":
         """coef * q**(power/4) for any integer power (negative allowed)."""
-        c = _fr(coef)
+        n, d = coef.numerator, coef.denominator
         j, extra = power % 4, power // 4
         if extra >= 0:
-            c *= Fraction(q) ** extra
+            n *= q ** extra
         else:
-            c /= Fraction(q) ** (-extra)
-        lst = [_Gauss(), _Gauss(), _Gauss(), _Gauss()]
-        lst[j] = _Gauss(c)
-        return QuarticValue(q, lst)
+            d *= q ** -extra
+        nums = [0] * 8
+        nums[j] = n
+        return _quartic(q, nums, d)
 
     @staticmethod
     def i_unit(q: int) -> "QuarticValue":
@@ -858,68 +835,55 @@ class QuarticValue:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuarticValue(self.q, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        d, f = self.den, o.den
+        return _quartic(self.q, [x * f + y * d for x, y in zip(self.nums, o.nums)], d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuarticValue(self.q, tuple(-a for a in self.coeffs))
+        return _quartic(self.q, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return QuarticValue(self.q, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
-        prod = [_Gauss() for _ in range(7)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b.is_zero():
-                    continue
-                prod[i + j] = prod[i + j] + a * b
-        qg = _Gauss(self.q)
-        out = list(prod[:4])
-        for k in range(4, 7):
-            out[k - 4] = out[k - 4] + prod[k] * qg
-        return QuarticValue(self.q, out)
+        q = self.q
+        x, y = self.nums, o.nums
+        re = [0] * 7
+        im = [0] * 7
+        for i in range(4):
+            a, b = x[i], x[i + 4]
+            if a or b:
+                for j in range(4):
+                    c, e = y[j], y[j + 4]
+                    re[i + j] += a * c - b * e
+                    im[i + j] += a * e + b * c
+        # t**(4 + k) = q t**k
+        return _quartic(q, (re[0] + q * re[4], re[1] + q * re[5], re[2] + q * re[6], re[3],
+                            im[0] + q * im[4], im[1] + q * im[5], im[2] + q * im[6], im[3]),
+                        self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuarticValue":
-        # extended Euclid in Q(i)[t] against t**4 - q
-        mod = [_Gauss(-self.q), _Gauss(), _Gauss(), _Gauss(), _Gauss(1)]
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [_Gauss()], [_Gauss(1)]
-        while True:
-            while len(r1) > 1 and r1[-1].is_zero():
-                r1.pop()
-            if len(r1) == 1 and r1[0].is_zero():
-                raise ZeroDivisionError("non-invertible QuarticValue")
-            if len(r1) == 1:
-                inv = r1[0].inverse()
-                out = [(c * inv) for c in s1]
-                out = (out + [_Gauss()] * 4)[:4]
-                return QuarticValue(self.q, out)
-            quot, rem = _gpoly_divmod(r0, r1)
-            # s_new = s0 - quot*s1
-            prod = [_Gauss() for _ in range(len(quot) + len(s1) - 1)]
-            for i, qc in enumerate(quot):
-                if qc.is_zero():
-                    continue
-                for j, sc in enumerate(s1):
-                    prod[i + j] = prod[i + j] + qc * sc
-            s_new = [_Gauss() for _ in range(max(len(s0), len(prod)))]
-            for i, c in enumerate(s0):
-                s_new[i] = s_new[i] + c
-            for i, c in enumerate(prod):
-                s_new[i] = s_new[i] - c
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_new
+        """x**-1 = x' y' conj(z) / |z|**2 through norms: x' = x(-t), the
+        product y = x x' is even in t, y' = y(i t), and z = y y' lies in Q(i)."""
+        q = self.q
+        r0, r1, r2, r3, i0, i1, i2, i3 = self.nums
+        xp = _quartic(q, (r0, -r1, r2, -r3, i0, -i1, i2, -i3), self.den)
+        y = self * xp
+        yp = _quartic(q, (y.nums[0], 0, -y.nums[2], 0, y.nums[4], 0, -y.nums[6], 0), y.den)
+        z = y * yp
+        zr, zi, dz = z.nums[0], z.nums[4], z.den
+        norm = zr * zr + zi * zi
+        if norm == 0:
+            raise ZeroDivisionError("non-invertible QuarticValue")
+        w = xp * yp * z.conj()
+        return _quartic(q, [c * dz * dz for c in w.nums], w.den * norm)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -928,52 +892,45 @@ class QuarticValue:
         return self._coerce(other) * self.inverse()
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        r = QuarticValue.from_rational(self.q, 1)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return _power(self, k) if k else QuarticValue.from_rational(self.q, 1)
 
     def conj(self) -> "QuarticValue":
         """Complex conjugation i -> -i (q**(1/4) stays real)."""
-        return QuarticValue(self.q, tuple(_Gauss(c.re, -c.im) for c in self.coeffs))
+        n = self.nums
+        return _quartic(self.q, n[:4] + tuple([-x for x in n[4:]]), self.den)
 
     def __eq__(self, other):
         try:
             o = self._coerce(other)
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, AttributeError):
             return NotImplemented
-        return all(a.re == b.re and a.im == b.im
-                   for a, b in zip(self.coeffs, o.coeffs))
+        return self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
-        return hash((self.q, tuple((c.re, c.im) for c in self.coeffs)))
+        return hash((self.q, self.nums, self.den))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.nums)
 
     def to_quad(self) -> QuadValue:
-        if (self.coeffs[1].is_zero() and self.coeffs[3].is_zero()
-                and not self.coeffs[0].im and not self.coeffs[2].im):
-            return QuadValue(self.q, self.coeffs[0].re, self.coeffs[2].re)
+        n = self.nums
+        if not any(n[j] for j in (1, 3, 4, 5, 6, 7)):
+            return QuadValue(self.q, n[0], n[2], self.den)
         raise ValueError("value not in Q(sqrt q)")
 
     def coordinates(self):
         """8 rationals: (re_0..re_3, im_0..im_3) over the q**(j/4) basis."""
-        return tuple(c.re for c in self.coeffs) + tuple(c.im for c in self.coeffs)
+        return tuple([Fraction(n, self.den) for n in self.nums])
 
     def __repr__(self):
+        c = self.coordinates()
         bits = []
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for j in range(4):
+            re, im = c[j], c[j + 4]
+            if not re and not im:
                 continue
             base = "1" if j == 0 else f"q^({j}/4)"
-            bits.append(f"({c.re}{'+' if c.im >= 0 else ''}{c.im}i)*{base}")
+            bits.append(f"({re}{'+' if im >= 0 else ''}{im}i)*{base}")
         return " + ".join(bits) if bits else "0"
 
 
@@ -1043,11 +1000,12 @@ def tower_eval(value, digits: int = 50):
             r = _floor_root_scaled(value.q, 4, guard)
             results = []
             ok = True
-            for part in ("re", "im"):
+            coords = value.coordinates()
+            for part in (0, 4):
                 lo = ZERO
                 hi = ZERO
-                for j, c in enumerate(value.coeffs):
-                    coef = getattr(c, part)
+                for j in range(4):
+                    coef = coords[part + j]
                     if not coef:
                         continue
                     blo = Fraction(r, 10 ** guard) ** j
@@ -1077,7 +1035,8 @@ def tower_float(value) -> complex:
         return float(value.a) + float(value.b) * (value.q ** 0.5)
     if isinstance(value, QuarticValue):
         r = value.q ** 0.25
-        re = sum(float(c.re) * r ** j for j, c in enumerate(value.coeffs))
-        im = sum(float(c.im) * r ** j for j, c in enumerate(value.coeffs))
+        c = value.coordinates()
+        re = sum(float(c[j]) * r ** j for j in range(4))
+        im = sum(float(c[j + 4]) * r ** j for j in range(4))
         return complex(re, im)
     return complex(value)

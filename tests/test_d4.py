@@ -76,6 +76,20 @@ def test_clear_geometric_matches_general_product():
             assert d4.q_poly(*k).terms == cleared
 
 
+def test_q_poly_matches_full_scan():
+    # q_poly reads its outer triple's bucket; the old scan over every term
+    series = d4.f_series_capped(12, 10)
+    for k in itertools.product(range(5), repeat=3):
+        terms = {e[3:]: c for e, c in series.terms.items() if e[:3] == k}
+        if sum(k) % 2 == 0:
+            terms = d4._clear_geometric(terms, (0,), 10)
+        if max((e[0] for e in terms), default=0) > 8:
+            with pytest.raises(d4.StabilizationError):
+                d4.q_poly(*k)
+        else:
+            assert d4.q_poly(*k).terms == terms, k
+
+
 def test_geom_univ_inverts_unit_power():
     # multiplying by (1 - r t^s)^k, truncated at n, undoes the k-fold division
     n = 11

@@ -201,6 +201,17 @@ def test_quarticvalue_structure():
         assert lhs.to_quad() == a * b
 
 
+def _is_quartic_unit(x):
+    """Whether x is a unit, decided without ``inverse``: for square q = r^2,
+    t^4 - q = (t^2 - r)(t^2 + r) and x is a unit iff it is nonzero modulo
+    both factors; for other q in the sweep t^4 - q is irreducible over Q(i)."""
+    r = math.isqrt(x.q)
+    if r * r != x.q:
+        return not x.is_zero()
+    c = x.coordinates()
+    return all(any(c[k] + s * r * c[k + 2] for k in (0, 1, 4, 5)) for s in (1, -1))
+
+
 def test_quartic_inverse_in_square_q_ring():
     # t^4 - 9 is reducible: the quotient is only a product ring, but the
     # values this library inverts are units there
@@ -209,6 +220,75 @@ def test_quartic_inverse_in_square_q_ring():
     zero_divisor = QuarticValue.root4(9, 2) - 3  # sqrt(9) - 3 = 0 component
     with pytest.raises(ZeroDivisionError):
         zero_divisor.inverse()
+    # seeded sweep: every unit inverts, every zero divisor raises
+    rng = random.Random(6)
+    for q in (5, 9, 13, 25):
+        r = math.isqrt(q)
+        sqrt_q = QuarticValue.root4(q, 2)
+        if r * r == q:
+            with pytest.raises(ZeroDivisionError):
+                (sqrt_q - r).inverse()
+        for n in range(60):
+            x = QuarticValue(q, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                 for _ in range(8)])
+            if n % 3 and r * r == q:
+                x = x * (sqrt_q - r if n % 3 == 1 else sqrt_q + r)
+            if _is_quartic_unit(x):
+                assert x * x.inverse() == 1, (q, x)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+    with pytest.raises(ZeroDivisionError):
+        QuarticValue(5).inverse()
+
+
+def _normal(v):
+    return v.den > 0 and math.gcd(*v.nums, v.den) == 1
+
+
+def test_tower_values_are_in_normal_form():
+    # every constructor and operation leaves den > 0 and
+    # gcd(numerators, den) = 1, so == and hash are structural
+    rng = random.Random(7)
+
+    def rat():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+    for q in (5, 9):
+        quads = [QuadValue(q, rat(), rat()) for _ in range(4)]
+        quads += [QuadValue.sqrt_q(q), QuadValue(q, 4, -2, -6), QuadValue(q, 6, 0, 3)]
+        quarts = [QuarticValue.from_rational(q, Fraction(4, 6)),
+                  QuarticValue.from_complex_rational(q, rat(), Fraction(-3, 9)),
+                  QuarticValue.from_quad(quads[0]), QuarticValue.from_quad(quads[-2]),
+                  QuarticValue.root4(q, -5, Fraction(6, 4)), QuarticValue.root4(q, -2, q),
+                  QuarticValue.root4(q, 3, -2), QuarticValue.i_unit(q),
+                  QuarticValue(q, [rat() for _ in range(8)], -4)]
+        for vals in (quads, quarts):
+            out = list(vals)
+            for x in vals:
+                out += [x.conj(), -x, x ** 3, x ** 0, x + 2, Fraction(-2, 6) * x]
+                for y in vals:
+                    out += [x + y, x - y, x * y]
+                    if not y.is_zero():
+                        try:
+                            out += [x / y, y.inverse(), y ** -2]
+                        except ZeroDivisionError:  # zero divisor of a square-q ring
+                            pass
+            bad = [v for v in out if not _normal(v)]
+            assert not bad, bad
+    # equal values built by different routes compare and hash equal
+    x = QuadValue(5, Fraction(1, 2), Fraction(3, 4))
+    y = QuadValue(5, Fraction(-2), Fraction(1, 3))
+    same = [(x, QuadValue(5, 2, 3, 4)), (x, QuadValue(5, Fraction(-4, -8), Fraction(6, 8))),
+            ((x + y) - y, x), (x * x.inverse(), QuadValue(5, 1)), (x ** -2 * x ** 3, x),
+            (QuadValue(9, 1, 2), QuadValue(9, Fraction(14, 2))),
+            (QuarticValue.from_quad(x), QuarticValue(5, (2, 0, 3, 0, 0, 0, 0, 0), 4)),
+            (QuarticValue.root4(5, -4), QuarticValue.from_rational(5, Fraction(1, 5))),
+            (QuarticValue.root4(5, 2, 3) + 1, QuarticValue.from_quad(QuadValue(5, 1, 3))),
+            (QuarticValue.i_unit(5) * QuarticValue.i_unit(5), QuarticValue.from_rational(5, -1)),
+            (QuarticValue.root4(5, 3) * QuarticValue.root4(5, -1), QuarticValue.root4(5, 2))]
+    for u, v in same:
+        assert u == v and hash(u) == hash(v), (u, v)
 
 
 def test_tower_eval():

@@ -4,6 +4,7 @@ import ast
 import pathlib
 
 import mdsforge
+from mdsforge import rings
 
 
 def test_no_assert_statements():
@@ -39,3 +40,18 @@ def test_every_definition_is_referenced():
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in used]
     assert not unused, unused
+
+
+def test_towers_do_no_fraction_arithmetic():
+    # QuadValue and QuarticValue compute on integer numerators over one
+    # denominator; a Fraction is built only where a coordinate is read
+    tree = ast.parse(pathlib.Path(rings.__file__).read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name in ("QuadValue", "QuarticValue")]
+    assert len(classes) == 2
+    found = [f"{cls.name}.{fn.name}:{node.lineno}"
+             for cls in classes for fn in cls.body
+             if isinstance(fn, ast.FunctionDef) and fn.name not in ("a", "b", "coordinates")
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Name) and node.id in ("Fraction", "_fr")]
+    assert not found, found
