@@ -360,6 +360,16 @@ def monic_by_index(F: FqField, n: int, idx: int):
     return tuple(coeffs) if n else P_ONE
 
 
+def coeff_index(F: FqField, a) -> int:
+    """The base-q number whose digits are the coefficients of a, constant
+    digit least significant; monic_by_index(F, n, coeff_index(F, m[:-1]))
+    is m for monic m of degree n."""
+    idx = 0
+    for c in reversed(a):
+        idx = idx * F.q + c
+    return idx
+
+
 def enumerate_monic(F: FqField, n: int, filt: str = "all", start: int = 0, stop=None):
     """Stream monic polynomials of degree n in base-q counting order.
 
@@ -371,18 +381,39 @@ def enumerate_monic(F: FqField, n: int, filt: str = "all", start: int = 0, stop=
     total = F.q ** n
     if stop is None:
         stop = total
+    mask = squarefree_mask(F, n) if filt == "squarefree" else None
     for idx in range(start, stop):
-        m = monic_by_index(F, n, idx)
         if filt == "all":
-            yield m
+            yield monic_by_index(F, n, idx)
         elif filt == "squarefree":
-            if is_squarefree(F, m):
-                yield m
+            if mask[idx]:
+                yield monic_by_index(F, n, idx)
         elif filt == "irreducible":
+            m = monic_by_index(F, n, idx)
             if is_irreducible(F, m):
                 yield m
         else:
             raise ValueError(f"unknown filter {filt!r}")
+
+
+@lru_cache(maxsize=None)
+def _squarefree_mask_cached(field_key, n):
+    F = build_field(*field_key)
+    mask = bytearray([1]) * F.q ** n
+    for k in range(1, n // 2 + 1):
+        for p in irreducibles(F, k):
+            p2 = pmul(F, p, p)
+            for m in enumerate_monic(F, n - 2 * k):
+                mask[coeff_index(F, pmul(F, p2, m)[:-1])] = 0
+    return bytes(mask)
+
+
+def squarefree_mask(F: FqField, n: int) -> bytes:
+    """Entry idx is 1 iff monic_by_index(F, n, idx) is square-free, else 0.
+
+    One sieve per field and degree: every P**2 * m with P prime of degree
+    <= n/2 and m monic is marked; cached."""
+    return _squarefree_mask_cached((F.p, F.e), n)
 
 
 def is_squarefree(F: FqField, m) -> bool:

@@ -85,10 +85,9 @@ def coeff_sums(F: FqField, top, n_max: int, skip=()):
     Computed as the degree-truncated Euler product over primes of degree
     <= n_max from the per-prime symbol values.
     """
-    coeffs = [0] * (n_max + 1)
-    coeffs[0] = 1
     skipset = set(skip)
     chi2 = F.chi2
+    factors = []
     for p, dp, kind, data in _symbol_plan((F.p, F.e), n_max):
         if p in skipset:
             continue
@@ -98,9 +97,17 @@ def coeff_sums(F: FqField, top, n_max: int, skip=()):
             s = data[fq.pmod(F, top, p)]
         else:
             s = fq.kronecker(F, top, p)
-        # divide coeffs by 1 - s t^dp, i.e. multiply by 1 + s t^dp + s^2 t^2dp + ...
-        if s == 0:
-            continue
+        if s:
+            factors.append((dp, s))
+    return euler_coeffs(n_max, factors)
+
+
+def euler_coeffs(n_max: int, factors):
+    """[c_0..c_n_max] of prod 1/(1 - s t**dp) over the (dp, s) in factors,
+    s = +-1, truncated after t**n_max."""
+    coeffs = [1] + [0] * n_max
+    for dp, s in factors:
+        # multiply by 1 + s t^dp + s^2 t^2dp + ...
         for j in range(dp, n_max + 1):
             coeffs[j] += s * coeffs[j - dp]
     return coeffs
@@ -152,18 +159,7 @@ class LPolynomial:
         k = D // 2; constant conductors have no such form."""
         if self.special:
             raise ValueError("constant conductor: use central_value()")
-        q = self.F.q
-        k = self.conductor_degree // 2
-        # c_n q**(-n/2) is c_n q**(k - n/2) / q**k for even n and
-        # c_n q**(k - (n+1)/2) sqrt(q) / q**k for odd n; n <= D - 1 keeps
-        # both exponents >= 0
-        a = b = 0
-        for n, c in enumerate(self.coeffs):
-            if n % 2:
-                b += c * q ** (k - (n + 1) // 2)
-            else:
-                a += c * q ** (k - n // 2)
-        return a, b, k
+        return central_parts(self.F.q, self.conductor_degree, self.coeffs)
 
     def central_value(self) -> QuadValue:
         """L at u = q**(-1/2), exactly in Q(sqrt q)."""
@@ -181,6 +177,29 @@ class LPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * u + c
         return acc
+
+
+def central_parts(q: int, D: int, coeffs):
+    """Integers (A, B, k) with sum_n coeffs[n] q**(-n/2) = (A + B*sqrt q) / q**k
+    and k = D // 2, for the coefficients of a degree-D conductor's
+    L-polynomial."""
+    k = D // 2
+    # c_n q**(-n/2) is c_n q**(k - n/2) / q**k for even n and
+    # c_n q**(k - (n+1)/2) sqrt(q) / q**k for odd n; n <= D - 1 keeps
+    # both exponents >= 0
+    a = b = 0
+    for n, c in enumerate(coeffs):
+        if n % 2:
+            b += c * q ** (k - (n + 1) // 2)
+        else:
+            a += c * q ** (k - n // 2)
+    return a, b, k
+
+
+def fe_lower_degree(D: int) -> int:
+    """h for conductor degree D >= 1: c_0..c_h of the L-polynomial are
+    summed, the functional equation gives the rest."""
+    return (D - 1) // 2 if D % 2 else D // 2 - 1
 
 
 def _fe_complete(F: FqField, sgn: int, D: int, lower):
@@ -225,8 +244,7 @@ def l_polynomial(F: FqField, b0, unit: int = 1, mode: str = "fe_completed") -> L
     if mode == "full":
         coeffs = coeff_sums(F, top, deg_l)
     elif mode == "fe_completed":
-        half = (D - 1) // 2 if D % 2 else D // 2 - 1
-        lower = coeff_sums(F, top, max(half, 0))
+        lower = coeff_sums(F, top, fe_lower_degree(D))
         coeffs = _fe_complete(F, F.chi2[unit], D, lower)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -67,6 +69,28 @@ def test_moments_with_cache(tmp_path):
                            "--cache-dir", str(tmp_path)])
     strip = lambda s: re.sub(r'"timestamp": "[^"]*"', "-", s)
     assert strip(out) == strip(out2)
+
+
+def test_moments_negative_degree_is_rejected():
+    code, out = run_cli(["moments", "--d-max", "-1"])
+    assert code == 1
+    errors = [i["error"] for i in json.loads(out)["items"] if i["name"] == "internal_error"]
+    assert len(errors) == 1 and errors[0].startswith("ValueError")
+
+
+def test_moments_does_not_import_numpy():
+    # numpy alone would add about 14 MB to the peak RSS of a moments run
+    code = ("import sys\n"
+            "from mdsforge import cli\n"
+            "cli.main(['moments', '--q', '5', '--d-max', '6'])\n"
+            "print('numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_report_secondary_is_diagnostic(tmp_path):

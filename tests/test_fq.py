@@ -92,6 +92,18 @@ def test_enumeration_counts():
         assert total == 5 ** m
 
 
+def test_squarefree_mask_matches_gcd_test():
+    for F, n_max in ((F5, 6), (F9, 4)):
+        for n in range(n_max + 1):
+            mask = fq.squarefree_mask(F, n)
+            assert len(mask) == F.q ** n
+            assert list(mask) == [fq.is_squarefree(F, m) for m in fq.enumerate_monic(F, n)]
+            assert sum(mask) == (F.q ** n - F.q ** (n - 1) if n >= 2 else F.q ** n)
+            for idx in range(0, F.q ** n, 7):
+                m = fq.monic_by_index(F, n, idx)
+                assert fq.coeff_index(F, m[:-1]) == idx
+
+
 def test_enumeration_partitions():
     whole = list(fq.enumerate_monic(F5, 2))
     split = list(fq.enumerate_monic(F5, 2, start=0, stop=11)) + \

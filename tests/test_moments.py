@@ -11,6 +11,18 @@ from mdsforge.rings import QuadValue, tower_float
 
 F5 = fq.build_field(5)
 F9 = fq.build_field(3, 2)
+F13 = fq.build_field(13)
+
+
+def _per_conductor_moment(F, D, mode="fe_completed"):
+    """Oracle: S(D) as one L-polynomial per square-free conductor, each
+    tested with the gcd criterion."""
+    total = QuadValue(F.q)
+    for idx in range(F.q ** D):
+        d0 = fq.monic_by_index(F, D, idx)
+        if fq.is_squarefree(F, d0):
+            total = total + lseries.l_polynomial(F, d0, 1, mode).central_value() ** 3
+    return total
 
 
 def test_moment_boundary_values():
@@ -18,19 +30,69 @@ def test_moment_boundary_values():
     assert moments.moment_sum(F5, 1) == QuadValue(5, 5, 0)
 
 
+def test_moment_rejects_negative_degree():
+    with pytest.raises(ValueError, match="negative"):
+        moments.moment_sum(F5, -1)
+    with pytest.raises(ValueError, match="negative"):
+        moments.moment_table(F5, -1)
+
+
 def test_moment_matches_direct_sum():
-    # recompute S(D) the slow way, as a sum of cubed "full"-mode central values
+    # the slow way, with every coefficient of every L-polynomial summed
     for F, degrees in ((F5, (2, 3, 4)), (F9, (0, 1, 2, 3))):
         for D in degrees:
-            total = QuadValue(F.q, 0, 0)
-            for d0 in fq.enumerate_monic(F, D, "squarefree"):
-                total = total + lseries.l_polynomial(F, d0, 1, "full").central_value() ** 3
-            assert total == moments.moment_sum(F, D), (F.q, D)
+            assert _per_conductor_moment(F, D, "full") == moments.moment_sum(F, D), (F.q, D)
+
+
+def test_class_fill_matches_per_conductor_oracle():
+    for F, D_max in ((F5, 6), (F9, 4), (F13, 4)):
+        for D in range(1, D_max + 1):
+            assert moments.moment_sum(F, D) == _per_conductor_moment(F, D), (F.q, D)
+
+
+def test_planted_defects_change_the_moment(monkeypatch):
+    F, D = F5, 5
+    oracle = _per_conductor_moment(F, D)
+    assert moments.moment_sum(F, D) == oracle
+
+    # one class counted twice
+    partial = moments._moment_partial
+
+    def doubled(args):
+        counts = partial(args)
+        key = min(counts)
+        counts[key] *= 2
+        return counts
+
+    monkeypatch.setattr(moments, "_moment_partial", doubled)
+    assert moments.moment_sum(F, D) != oracle
+    monkeypatch.undo()
+
+    # one residue symbol of one prime flipped
+    table = lseries._residue_symbol_table
+    target = fq.irreducibles(F, 2)[0]
+
+    def flipped(field_key, p):
+        out = table(field_key, p)
+        if p == target:
+            out = dict(out)
+            out[fq.P_ONE] = -out[fq.P_ONE]
+        return out
+
+    moments._class_plan.cache_clear()
+    monkeypatch.setattr(lseries, "_residue_symbol_table", flipped)
+    try:
+        assert moments.moment_sum(F, D) != oracle
+    finally:
+        moments._class_plan.cache_clear()
+    monkeypatch.undo()
+    assert moments.moment_sum(F, D) == oracle
 
 
 def test_worker_partition_merge():
-    for F, D in ((F5, 3), (F5, 4), (F9, 4)):
-        assert moments.moment_sum(F, D, workers=1) == moments.moment_sum(F, D, workers=2)
+    # (F5, 6) splits its 125 high-digit blocks 42 + 42 + 41 over three workers
+    for F, D, workers in ((F5, 3, 2), (F5, 4, 2), (F9, 4, 2), (F5, 6, 3)):
+        assert moments.moment_sum(F, D, workers=1) == moments.moment_sum(F, D, workers=workers)
 
 
 # SHA-256 of the cache files store_moment wrote before the moment sums moved
