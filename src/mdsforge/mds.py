@@ -127,10 +127,6 @@ def _degree_splits(budget, parts):
             yield (first,) + rest
 
 
-def _coprime_to(F, m, c_primes):
-    return all(fq.pmod(F, m, p) for p in c_primes)
-
-
 @lru_cache(maxsize=None)
 def _monic_profiles(field_key, max_deg):
     """All monic polys of degree <= max_deg with their factor profiles."""
@@ -142,6 +138,22 @@ def _monic_profiles(field_key, max_deg):
             row.append((m, fq.factor(F, m)[1]))
         by_deg.append(tuple(row))
     return tuple(by_deg)
+
+
+def _product(F: FqField, polys):
+    """The product of the given polynomials."""
+    out = fq.P_ONE
+    for m in polys:
+        out = fq.pmul(F, out, m)
+    return out
+
+
+def _profile_rows(F: FqField, tw: TwistSpec, max_deg: int):
+    """Per degree, the (monic, factor profile) rows of the profile table
+    whose primes are disjoint from the twist's: the monics coprime to c."""
+    cset = set(tw.c_primes)
+    return [[(m, prof) for m, prof in row if not any(p in cset for p, _ in prof)]
+            for row in _monic_profiles((F.p, F.e), max_deg)]
 
 
 class _BruteForceContext:
@@ -175,7 +187,7 @@ class _BruteForceContext:
         return out
 
 
-def _tuple_sum_for_d(F: FqField, ctx: "_BruteForceContext", dprof, c_set,
+def _tuple_sum_for_d(F: FqField, ctx: "_BruteForceContext", dprof,
                      m_budget: int, profiles):
     """sum over (m1, m2, m3) of chi(hat m1) chi(hat m2) chi(hat m3) * A(m, d)
     as a dict (n1, n2, n3) -> int, for one fixed d.
@@ -193,8 +205,6 @@ def _tuple_sum_for_d(F: FqField, ctx: "_BruteForceContext", dprof, c_set,
     extra = [[] for _ in range(m_budget + 1)]
     for n in range(m_budget + 1):
         for m, prof in profiles[n]:
-            if c_set and any(p in c_set for p, _ in prof):
-                continue
             h = ctx.chi_hat(prof)
             if h == 0:
                 continue
@@ -254,19 +264,13 @@ def _tuple_sum_for_d(F: FqField, ctx: "_BruteForceContext", dprof, c_set,
 def zc_buckets_vers0(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
     """Brute force over every tuple (m1, m2, m3, d) bucket by multidegree."""
     out = {}
-    profiles = _monic_profiles((F.p, F.e), total_max)
-    cset = set(tw.c_primes)
+    rows = _profile_rows(F, tw, total_max)
     for n4 in range(n4_max + 1):
-        for d, dprof in profiles[n4]:
-            if any(p in cset for p, _ in dprof):
-                continue
-            d0 = fq.P_ONE
-            for p, mult in dprof:
-                if mult % 2:
-                    d0 = fq.pmul(F, d0, p)
+        for d, dprof in rows[n4]:
+            d0 = _product(F, (p for p, mult in dprof if mult % 2))
             ctx = _BruteForceContext(F, tw.a1, tw.c1, d0)
             chi_a2c2_d0 = chi(F, tw.a2, (tw.c2,), d0)
-            table = _tuple_sum_for_d(F, ctx, dprof, cset, total_max - n4, profiles)
+            table = _tuple_sum_for_d(F, ctx, dprof, total_max - n4, rows)
             accumulate((((n1, n2, n3, n4), chi_a2c2_d0 * v)
                         for (n1, n2, n3), v in table.items()), out)
     return out
@@ -283,32 +287,26 @@ def zc_buckets_vers1(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
     correction polynomial, expanded in the outer gradings."""
     out = {}
     skip = tuple(p for p, _ in fq.factor(F, fq.pmul(F, tw.c2, tw.c3))[1])
+    rows = _profile_rows(F, tw, total_max)
     for n4 in range(n4_max + 1):
         m_total = total_max - n4
-        for d in fq.enumerate_monic(F, n4):
-            if not _coprime_to(F, d, tw.c_primes):
-                continue
-            d0, d1 = fq.square_decomposition(F, d)
+        for d, dprof in rows[n4]:
+            d0 = _product(F, (p for p, mult in dprof if mult % 2))
             chi_d0 = chi(F, tw.a2, (tw.c2,), d0)
             top = fq.pscale(F, fq.pmul(F, tw.c1, d0), tw.a1)
             lcoeffs = lseries.coeff_sums(F, top, m_total, skip=skip)
-            # outer correction polynomial for d
+            # outer correction polynomial for d = d0 d1**2: a prime of d1 of
+            # exponent e enters as P_(2e+1) if it divides d0, else as P_(2e)
+            # with the sign chi(p); either way the index is its multiplicity
             pd = {(0, 0, 0): 1}
-            ok = True
-            for p, mult in fq.factor(F, d1)[1]:
+            for p, mult in dprof:
+                if mult < 2:
+                    continue
                 dp = fq.deg(p)
-                qp = F.q ** dp
-                if fq.pmod(F, d0, p):
-                    s = chi(F, tw.a1, (tw.c1, d0), p)
-                    if s == 0:
-                        ok = False
-                        break
-                    piece = _correction_at_prime(2 * mult, dp, qp, s)
-                else:
-                    piece = _correction_at_prime(2 * mult + 1, dp, qp, 1)
-                pd = _poly3_mul(pd, piece, m_total)
-            if not ok:
-                raise ArithmeticError("unexpected character degeneration")
+                s = 1 if mult % 2 else chi(F, tw.a1, (tw.c1, d0), p)
+                if s == 0:
+                    raise ArithmeticError("unexpected character degeneration")
+                pd = _poly3_mul(pd, _correction_at_prime(mult, dp, F.q ** dp, s), m_total)
             accumulate((((n1, n2, n3, n4), chi_d0 * cpd * c1v * c2v * c3v)
                         for (e1, e2, e3), cpd in pd.items()
                         for n1 in range(e1, m_total + 1)
@@ -320,48 +318,115 @@ def zc_buckets_vers1(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
     return out
 
 
+def _odd_primes(odd1, odd2, odd3):
+    """The primes of odd total multiplicity in m1 m2 m3, from the sets of
+    primes of odd multiplicity in each: the primes of the square-free part
+    n0 of m1 m2 m3."""
+    return odd1 ^ odd2 ^ odd3
+
+
+class _CentralContext:
+    """Route vers2's caches for one call, keyed by the prime set of n0:
+    chi_{a1 c1}(n0), the restricted L-series coefficients of a2 c2 n0, and
+    the central symbols chi_{a2 c2 n0}(p) of the primes of even total
+    multiplicity."""
+
+    def __init__(self, F: FqField, tw: TwistSpec):
+        self.F, self.tw = F, tw
+        self.skip = tuple(p for p, _ in fq.factor(F, fq.pmul(F, tw.c1, tw.c3))[1])
+        self._tops = {}
+        self._coeffs = {}
+        self._symbols = {}
+
+    def top(self, odd):
+        """(chi_{a1 c1}(n0), a2 c2 n0) for n0 the product of the primes in odd."""
+        v = self._tops.get(odd)
+        if v is None:
+            F, tw = self.F, self.tw
+            n0 = _product(F, odd)
+            v = (chi(F, tw.a1, (tw.c1,), n0), fq.pscale(F, fq.pmul(F, tw.c2, n0), tw.a2))
+            self._tops[odd] = v
+        return v
+
+    def coeffs(self, odd, n_max: int):
+        v = self._coeffs.get((odd, n_max))
+        if v is None:
+            v = lseries.coeff_sums(self.F, self.top(odd)[1], n_max, skip=self.skip)
+            self._coeffs[(odd, n_max)] = v
+        return v
+
+    def symbol(self, odd, p) -> int:
+        s = self._symbols.get((odd, p))
+        if s is None:
+            s = fq.kronecker(self.F, self.top(odd)[1], p)
+            if s == 0:
+                raise ArithmeticError("central character degenerates")
+            self._symbols[(odd, p)] = s
+        return s
+
+
 def zc_buckets_vers2(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
     """Group by the outer tuple: restricted central L-polynomial times the
-    central correction polynomial."""
+    central correction polynomial.
+
+    The tuples are read from the factor-profile table.  The square-free part
+    n0 of m1 m2 m3 is the product of the primes of odd total multiplicity,
+    so the correction polynomials of the tuples that share n0 (in one
+    degree bucket) are summed before one product with n0's L-series."""
+    q = F.q
+    ctx = _CentralContext(F, tw)
+    rows = [[(prof, frozenset(p for p, k in prof if k % 2)) for _, prof in row]
+            for row in _profile_rows(F, tw, total_max)]
+    pieces = {}  # (kk, deg p, s, cap) -> coefficients of t**0..t**cap
     out = {}
-    skip = tuple(p for p, _ in fq.factor(F, fq.pmul(F, tw.c1, tw.c3))[1])
-    for degs in _degree_splits(total_max, 3):
-        n1, n2, n3 = degs
-        n4_cap = min(n4_max, total_max - n1 - n2 - n3)
-        for m1 in fq.enumerate_monic(F, n1):
-            if not _coprime_to(F, m1, tw.c_primes):
-                continue
-            for m2 in fq.enumerate_monic(F, n2):
-                if not _coprime_to(F, m2, tw.c_primes):
-                    continue
-                for m3 in fq.enumerate_monic(F, n3):
-                    if not _coprime_to(F, m3, tw.c_primes):
-                        continue
-                    prod = fq.pmul(F, fq.pmul(F, m1, m2), m3)
-                    n0, nn1 = fq.square_decomposition(F, prod)
-                    chi_n0 = chi(F, tw.a1, (tw.c1,), n0)
-                    if chi_n0 == 0:
-                        continue
-                    top = fq.pscale(F, fq.pmul(F, tw.c2, n0), tw.a2)
-                    lcoeffs = lseries.coeff_sums(F, top, n4_cap, skip=skip)
-                    # central correction polynomial
-                    qm = {0: 1}
-                    profile = {}
-                    for idx, m in enumerate((m1, m2, m3)):
-                        for p, mult in fq.factor(F, m)[1]:
-                            profile.setdefault(p, [0, 0, 0])[idx] = mult
-                    for p, kk in profile.items():
-                        dp = fq.deg(p)
-                        s = 1 if sum(kk) % 2 else chi(F, tw.a2, (tw.c2, n0), p)
-                        if s == 0:
-                            raise ArithmeticError("central character degenerates")
-                        piece = _correction_at_prime(tuple(kk), dp, F.q ** dp, s)
-                        qm = accumulate((e1 + e2, c1 * c2) for e1, c1 in qm.items()
-                                        for (e2,), c2 in piece.items() if e1 + e2 <= n4_cap)
-                    accumulate((((n1, n2, n3, n4),
-                                 chi_n0 * sum(cq * lcoeffs[n4 - e]
-                                              for e, cq in qm.items() if e <= n4))
-                                for n4 in range(n4_cap + 1)), out)
+    for n1, n2, n3 in _degree_splits(total_max, 3):
+        cap = min(n4_max, total_max - n1 - n2 - n3)
+        by_n0 = {}
+        for pr1, odd1 in rows[n1]:
+            for pr2, odd2 in rows[n2]:
+                pair = {p: (k, 0, 0) for p, k in pr1}
+                for p, k in pr2:
+                    pair[p] = (pair.get(p, (0,))[0], k, 0)
+                for pr3, odd3 in rows[n3]:
+                    merged = dict(pair)
+                    for p, k in pr3:
+                        kk = merged.get(p, (0, 0, 0))
+                        merged[p] = (kk[0], kk[1], k)
+                    odd = _odd_primes(odd1, odd2, odd3)
+                    scale = 1
+                    qm = [1] + [0] * cap
+                    for p, kk in merged.items():
+                        dp = len(p) - 1
+                        # the terms of a piece sit at multiples of deg p: below
+                        # deg p only the constant term is left, and it has no s
+                        s = 1 if dp > cap or p in odd else ctx.symbol(odd, p)
+                        key = (kk, dp, s, cap)
+                        piece = pieces.get(key)
+                        if piece is None:
+                            piece = [0] * (cap + 1)
+                            for (e,), c in _correction_at_prime(kk, dp, q ** dp, s).items():
+                                if e <= cap:
+                                    piece[e] = c
+                            pieces[key] = piece
+                        if dp > cap:
+                            scale *= piece[0]
+                        else:
+                            qm = [sum(qm[i] * piece[e - i] for i in range(e + 1))
+                                  for e in range(cap + 1)]
+                    acc = by_n0.get(odd)
+                    if acc is None:
+                        acc = by_n0[odd] = [0] * (cap + 1)
+                    for e, c in enumerate(qm):
+                        acc[e] += scale * c
+        total = [0] * (cap + 1)
+        for odd, qm in by_n0.items():
+            chi_n0 = ctx.top(odd)[0]
+            lcoeffs = ctx.coeffs(odd, cap)
+            for e, c in enumerate(qm):
+                if c:
+                    for n4 in range(e, cap + 1):
+                        total[n4] += chi_n0 * c * lcoeffs[n4 - e]
+        accumulate((((n1, n2, n3, n4), v) for n4, v in enumerate(total)), out)
     return out
 
 
@@ -371,6 +436,8 @@ ROUTES = {"vers0": zc_buckets_vers0, "vers1": zc_buckets_vers1,
 
 def compare_routes(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
     """Exact bucketwise comparison of all three routes."""
+    if not 0 <= n4_max <= total_max:
+        raise ValueError("degree bounds must satisfy 0 <= n4_max <= total_max")
     tables = {name: fn(F, tw, n4_max, total_max) for name, fn in ROUTES.items()}
     keys = set()
     for t in tables.values():
@@ -401,13 +468,14 @@ def zc_t4_series(F: FqField, tw: TwistSpec, n_max: int):
     per-d closed form over monic d of degree n coprime to the twist."""
     q = F.q
     skip = tuple(p for p, _ in fq.factor(F, fq.pmul(F, tw.c2, tw.c3))[1])
+    d1_rows = [[d1 for d1, _ in row] for row in _profile_rows(F, tw, n_max // 2)]
     out = [QuadValue(q, 0, 0) for _ in range(n_max + 1)]
     for a in range(n_max + 1):
         b_max = (n_max - a) // 2
         if b_max < 0:
             continue
         for d0 in fq.enumerate_monic(F, a, "squarefree"):
-            if not _coprime_to(F, d0, tw.c_primes):
+            if not all(fq.pmod(F, d0, p) for p in tw.c_primes):
                 continue
             cond = fq.pmul(F, tw.c1, d0)
             lval = lseries.central_value(F, cond, tw.a1)
@@ -419,9 +487,7 @@ def zc_t4_series(F: FqField, tw: TwistSpec, n_max: int):
             base = lcube * s_d0
             for b in range(b_max + 1):
                 n = a + 2 * b
-                for d1 in fq.enumerate_monic(F, b):
-                    if not _coprime_to(F, d1, tw.c_primes):
-                        continue
+                for d1 in d1_rows[b]:
                     out[n] = out[n] + base * pd_value(F, d0, d1, tw.a1, (tw.c1, d0))
     return out
 
@@ -501,8 +567,7 @@ def sieved_buckets(F: FqField, h, a2: int, total_max: int):
                     d1 = fq.pmul(F, h, e)
                     d = fq.pmul(F, d0, fq.pmul(F, d1, d1))
                     dprof = fq.factor(F, d)[1]
-                    table = _tuple_sum_for_d(F, ctx, dprof, None,
-                                             total_max - n4, profiles)
+                    table = _tuple_sum_for_d(F, ctx, dprof, total_max - n4, profiles)
                     accumulate((((n1, n2, n3, n4), v * s_d0)
                                 for (n1, n2, n3), v in table.items()), out)
     return out
@@ -510,6 +575,8 @@ def sieved_buckets(F: FqField, h, a2: int, total_max: int):
 
 def check_sieve_identity(F: FqField, a2: int, total_max: int):
     """sum_h mu(h) * (restricted buckets) == square-free buckets, exactly."""
+    if total_max < 0:
+        raise ValueError("negative degree bound")
     z0 = z0_buckets(F, a2, total_max)
     acc = {}
     h_list = []
@@ -593,6 +660,8 @@ def decomposition_t4_series(F: FqField, h, a2: int, n_max: int):
 
 
 def check_fundamental_decomposition(F: FqField, h, a2: int, n_max: int):
+    if n_max < 0:
+        raise ValueError("negative degree bound")
     lhs = sieved_t4_series(F, h, a2, n_max)
     rhs = decomposition_t4_series(F, h, a2, n_max)
     for n, (x, y) in enumerate(zip(lhs, rhs)):

@@ -78,6 +78,15 @@ def test_moments_negative_degree_is_rejected():
     assert len(errors) == 1 and errors[0].startswith("ValueError")
 
 
+@pytest.mark.parametrize("argv", [["--n-max", "-1"], ["--n-max", "0", "--d-max", "-1"]])
+def test_verify_series_negative_degree_is_rejected(argv):
+    # a negative bound would compare no buckets and report pass
+    code, out = run_cli(["verify-series"] + argv)
+    assert code == 1
+    errors = [i["error"] for i in json.loads(out)["items"] if i["name"] == "internal_error"]
+    assert len(errors) == 1 and errors[0].startswith("ValueError")
+
+
 def test_moments_does_not_import_numpy():
     # numpy alone would add about 14 MB to the peak RSS of a moments run
     code = ("import sys\n"

@@ -5,14 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from mdsforge import d4, fq, mds
-from mdsforge.rings import QuadValue, QuarticValue, rho_value, RHO_CLASSES
+from mdsforge import d4, fq, lseries, mds
+from mdsforge.rings import QuadValue, QuarticValue, accumulate, rho_value, RHO_CLASSES
 
 
 F5 = fq.build_field(5)
+F9 = fq.build_field(3, 2)
 X = (0, 1)
 XP1 = (1, 1)
 THETA = F5.nonsquare_unit
+THETA9 = F9.nonsquare_unit
+
+# the twists of `mdsforge verify-series`
+SERIES_TWISTS = (mds.TwistSpec(F5), mds.TwistSpec(F5, c1=X, a2=THETA),
+                 mds.TwistSpec(F5, c2=X, a1=THETA),
+                 mds.TwistSpec(F5, c3=X, a1=THETA, a2=THETA),
+                 mds.TwistSpec(F5, c1=X, c3=XP1))
 
 
 def test_twist_validation():
@@ -31,11 +39,104 @@ def test_a_eval_values():
 
 
 def test_route_agreement_small():
-    for tw in (mds.TwistSpec(F5),
-               mds.TwistSpec(F5, c1=X, a2=THETA),
-               mds.TwistSpec(F5, c2=X, a1=THETA)):
-        rep = mds.compare_routes(F5, tw, n4_max=2, total_max=3)
+    for F, tw in ((F5, mds.TwistSpec(F5)),
+                  (F5, mds.TwistSpec(F5, c1=X, a2=THETA)),
+                  (F5, mds.TwistSpec(F5, c2=X, a1=THETA)),
+                  # q = 9: sqrt q is rational
+                  (F9, mds.TwistSpec(F9)),
+                  (F9, mds.TwistSpec(F9, c1=X, a2=THETA9)),
+                  (F9, mds.TwistSpec(F9, c2=X, c3=XP1, a1=THETA9))):
+        rep = mds.compare_routes(F, tw, n4_max=2, total_max=3)
         assert rep["ok"], rep["diffs"][:3]
+
+
+def test_negative_degree_bounds_are_rejected():
+    tw = mds.TwistSpec(F5)
+    for n4_max, total_max in ((-1, 0), (0, -1), (2, 1)):
+        with pytest.raises(ValueError):
+            mds.compare_routes(F5, tw, n4_max, total_max)
+    with pytest.raises(ValueError):
+        mds.check_sieve_identity(F5, 1, -1)
+    with pytest.raises(ValueError):
+        mds.check_fundamental_decomposition(F5, X, 1, -1)
+
+
+def test_monic_profiles_match_factor():
+    # routes vers0, vers1 and vers2 all read this one table, so check it
+    # against factor and rebuild every monic from its profile by products
+    for F, max_deg in ((F5, 5), (F9, 3)):
+        table = mds._monic_profiles((F.p, F.e), max_deg)
+        assert len(table) == max_deg + 1
+        for n, row in enumerate(table):
+            assert [m for m, _ in row] == list(fq.enumerate_monic(F, n))
+            for m, prof in row:
+                assert prof == fq.factor(F, m)[1]
+                rebuilt = fq.P_ONE
+                for p, mult in prof:
+                    assert fq.is_irreducible(F, p) and mult >= 1
+                    for _ in range(mult):
+                        rebuilt = fq.pmul(F, rebuilt, p)
+                assert rebuilt == m
+
+
+def _vers2_by_products(F, tw, n4_max, total_max):
+    """Oracle for route vers2: every tuple (m1, m2, m3) by polynomial
+    products, square decomposition and factorization."""
+    def coprime(m):
+        return all(fq.pmod(F, m, p) for p in tw.c_primes)
+
+    out = {}
+    skip = tuple(p for p, _ in fq.factor(F, fq.pmul(F, tw.c1, tw.c3))[1])
+    for n1, n2, n3 in mds._degree_splits(total_max, 3):
+        n4_cap = min(n4_max, total_max - n1 - n2 - n3)
+        for m1 in filter(coprime, fq.enumerate_monic(F, n1)):
+            for m2 in filter(coprime, fq.enumerate_monic(F, n2)):
+                for m3 in filter(coprime, fq.enumerate_monic(F, n3)):
+                    prod = fq.pmul(F, fq.pmul(F, m1, m2), m3)
+                    n0, _ = fq.square_decomposition(F, prod)
+                    chi_n0 = mds.chi(F, tw.a1, (tw.c1,), n0)
+                    if chi_n0 == 0:
+                        continue
+                    top = fq.pscale(F, fq.pmul(F, tw.c2, n0), tw.a2)
+                    lcoeffs = lseries.coeff_sums(F, top, n4_cap, skip=skip)
+                    qm = {0: 1}
+                    profile = {}
+                    for idx, m in enumerate((m1, m2, m3)):
+                        for p, mult in fq.factor(F, m)[1]:
+                            profile.setdefault(p, [0, 0, 0])[idx] = mult
+                    for p, kk in profile.items():
+                        dp = fq.deg(p)
+                        s = 1 if sum(kk) % 2 else mds.chi(F, tw.a2, (tw.c2, n0), p)
+                        assert s != 0
+                        piece = mds._correction_at_prime(tuple(kk), dp, F.q ** dp, s)
+                        qm = accumulate((e1 + e2, c1 * c2) for e1, c1 in qm.items()
+                                        for (e2,), c2 in piece.items() if e1 + e2 <= n4_cap)
+                    accumulate((((n1, n2, n3, n4),
+                                 chi_n0 * sum(cq * lcoeffs[n4 - e]
+                                              for e, cq in qm.items() if e <= n4))
+                                for n4 in range(n4_cap + 1)), out)
+    return out
+
+
+def test_vers2_matches_product_oracle():
+    twists = [(F5, tw) for tw in SERIES_TWISTS]
+    twists += [(F9, mds.TwistSpec(F9, c1=X, a2=THETA9)),
+               (F9, mds.TwistSpec(F9, c2=X, c3=XP1, a1=THETA9))]
+    for F, tw in twists:
+        assert mds.zc_buckets_vers2(F, tw, 2, 3) == _vers2_by_products(F, tw, 2, 3), tw
+
+
+def test_route_comparison_catches_planted_vers2_defects(monkeypatch):
+    def odd_in_some_slot(odd1, odd2, odd3):
+        return odd1 | odd2 | odd3
+
+    for target, defect in ((mds, ("_odd_primes", odd_in_some_slot)),
+                           (mds._CentralContext, ("symbol", lambda self, odd, p: 1))):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, *defect)
+            diffs = [d for tw in SERIES_TWISTS
+                     for d in mds.compare_routes(F5, tw, n4_max=2, total_max=3)["diffs"]]
+        assert diffs, defect[0]
 
 
 def test_central_series_normalization():
