@@ -1,7 +1,7 @@
 """The twisted series by three routes, the square-free sieve, the
 decomposition of the sieved series into twisted series times explicit local
-factors, the eighth-root constants at the quartic poles, and the residue
-formulas.
+factors, the eighth-root constants at the quartic poles, the residue
+formulas, and the Euler product of the Zhang polynomial.
 
 Gradings.  Exact route comparisons and the sieve identity are checked on the
 full multidegree buckets (deg m1, deg m2, deg m3, deg d): at the centre the
@@ -22,7 +22,7 @@ from operator import add
 from . import d4, fq, lseries
 from .fq import FqField
 from .rings import (ParamPoly, QuadValue, QuarticValue, accumulate, rho_value,
-                    RHO_CLASSES)
+                    tower_float, RHO_CLASSES)
 
 
 # ---------------------------------------------------------------------------
@@ -997,13 +997,11 @@ def zhang_poly_coeffs():
     return poly
 
 
-def zhang_value_quartic(q: int, x: QuarticValue) -> QuarticValue:
-    acc = QuarticValue.from_rational(q, 0)
-    power = QuarticValue.from_rational(q, 1)
-    for c in zhang_poly_coeffs():
-        if c:
-            acc = acc + power * c
-        power = power * x
+def zhang_value(x):
+    """P(x) by Horner's rule, for a tower value or an mpmath number."""
+    acc = 0
+    for c in reversed(zhang_poly_coeffs()):
+        acc = x * acc + c
     return acc
 
 
@@ -1029,8 +1027,7 @@ def per_prime_residue_identity(F: FqField, degp: int, rho: str) -> bool:
     w = wF + wG0 + wG1
     lhs = 1 - QuarticValue.root4(q, -6 * degp) * w * s
     x = QuarticValue.root4(q, -2 * degp) * s
-    rhs = zhang_value_quartic(q, x)
-    return lhs == rhs
+    return lhs == zhang_value(x)
 
 
 @lru_cache(maxsize=None)
@@ -1040,7 +1037,7 @@ def degree_class_weight(q: int, m: int, rho: str) -> QuarticValue:
     sgn_tp = 1 if rho in ("1", "-1") else -1
     s = _chi_tp(sgn_tp, m)
     x = QuarticValue.root4(q, -2 * m) * s
-    return 1 - zhang_value_quartic(q, x)
+    return 1 - zhang_value(x)
 
 
 def h_layers_collapsed(F: FqField, rho: str, deg_max: int):
@@ -1081,13 +1078,41 @@ def _zhang_abs_tail_constant(q: int) -> float:
     return total
 
 
+def zhang_euler_product(F: FqField, sgn: int, deg_max: int, dps: int = 50):
+    """Partial products over the monic irreducibles p of P(chi(p)/sqrt|p|),
+    chi(p) = sgn**deg(p), truncated at degree M = 1..deg_max.
+
+    Returns (partials, tail_logs), both indexed by M - 1: the products as
+    mpf at dps + 10 digits, and float bounds on the log of the factors left
+    out, sum over k > M of C q**(-k/2) / (k (1 - y_k)), y_k = C q**(-3k/2),
+    from Irr(k) <= q**k / k and |log P(x)| <= y / (1 - y) for C|x|**3 = y.
+    The 400 terms summed leave out less than the float rounding.
+    """
+    import mpmath
+    if sgn not in (1, -1):
+        raise ValueError(f"sgn must be 1 or -1, not {sgn!r}")
+    if deg_max < 2:
+        raise ValueError(f"need deg_max >= 2, not {deg_max}")
+    q = F.q
+    partials = []
+    with mpmath.workdps(dps + 10):
+        prod = mpmath.mpf(1)
+        for m in range(1, deg_max + 1):
+            x = _chi_tp(sgn, m) * mpmath.power(q, -mpmath.mpf(m) / 2)
+            prod *= zhang_value(x) ** fq.irreducible_count(F, m)
+            partials.append(prod)
+    C = _zhang_abs_tail_constant(q)
+    terms = [C * q ** (-0.5 * k) / (k * (1 - C * q ** (-1.5 * k)))
+             for k in range(2, deg_max + 401)]
+    return partials, [sum(terms[M - 1:]) for M in range(1, deg_max + 1)]
+
+
 def h_tail_bound(F: FqField, H: int, rho: str = "1", extra: int = 30) -> float:
     """Upper bound on the absolute mu-sum tail past degree H: the k > H
     coefficients of prod_m (1 + |w_m| u^m)^Irr(m) with the exact per-degree
     weights, plus the analytic remainder of its logarithm past the window."""
     import math
     from math import comb
-    from .rings import tower_float
     q = F.q
     K = H + extra
     C = _zhang_abs_tail_constant(q)
@@ -1127,8 +1152,14 @@ def residue_z0_three_quarters(F: FqField, a2: int, rho: str,
     the closed form with the degree-truncated product of the Zhang
     polynomial over irreducibles.  All values exact; tail bounds numeric.
     """
+    if h_deg_max < 0:
+        raise ValueError(f"need h_deg_max >= 0, not {h_deg_max}")
     q = F.q
     sgn_tp = 1 if rho in ("1", "-1") else -1
+    # product route: the per-degree values are exact, but the Irr(m)-fold
+    # powers explode as exact rationals, so the reported truncations are
+    # high-precision numerics (the comparison is tail-bounded anyway)
+    partials, prod_tail_logs = zhang_euler_product(F, sgn_tp, prod_deg_max)
     sgn_a2 = F.chi2[a2]
     pref = (gamma_constant(q, sgn_a2, sgn_tp, rho)
             * central_l_theta_power7(q, sgn_tp) * Fraction(1, 8))
@@ -1152,30 +1183,12 @@ def residue_z0_three_quarters(F: FqField, a2: int, rho: str,
         acc = acc + collapsed[k] * pref
         extended_partials.append(acc)
 
-    # product route: the per-degree values are exact, but the Irr(m)-fold
-    # powers explode as exact rationals, so the reported truncations are
-    # high-precision numerics (the comparison is tail-bounded anyway)
     import mpmath
-    from .rings import tower_float
-    prod_partials = []
     with mpmath.workdps(60):
+        # the float rounding of pref is pinned by perfbench/reference.json
         pref_c = mpmath.mpc(tower_float(pref))
-        prod = mpmath.mpf(1)
-        for m in range(1, prod_deg_max + 1):
-            s = _chi_tp(sgn_tp, m)
-            x = s * mpmath.power(q, -mpmath.mpf(m) / 2)
-            val = mpmath.mpf(0)
-            for c in reversed(zhang_poly_coeffs()):
-                val = val * x + c
-            prod *= val ** fq.irreducible_count(F, m)
-            prod_partials.append(complex(pref_c * prod))
-
+        prod_partials = [complex(pref_c * p) for p in partials]
     tails = [h_tail_bound(F, H, rho) for H in range(extended_deg + 1)]
-    C = _zhang_abs_tail_constant(q)
-    import math
-    prod_tail_logs = [C * sum(q ** (-0.5 * m) / m
-                              for m in range(M + 1, M + 400))
-                      for M in range(1, prod_deg_max + 1)]
     return {"h_partials": h_partials, "h_layers": layers,
             "extended_partials": extended_partials,
             "h_tail_bounds": tails,

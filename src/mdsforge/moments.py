@@ -1,5 +1,5 @@
-"""Exact cubic moments, the secondary-term constant, Euler products of the
-Zhang polynomial, and the desk-scale diagnostics and inequality suite.
+"""Exact cubic moments, the secondary-term constant, and the desk-scale
+diagnostics and inequality suite.
 
 Exact moment values S(D) = sum over square-free monic conductors of degree D
 of the cubed central value live in Q(sqrt q), are summed with one cube per
@@ -22,7 +22,7 @@ import mpmath
 
 from . import __version__, d4, fq, lseries, mds
 from .fq import FqField
-from .rings import QuadValue, QuarticValue, tower_float
+from .rings import QuadValue, tower_float, tower_mp
 
 
 # ---------------------------------------------------------------------------
@@ -230,44 +230,6 @@ def sieve_reconstructed_moment(F: FqField, D: int) -> QuadValue:
 
 
 # ---------------------------------------------------------------------------
-# Euler products of the Zhang polynomial
-# ---------------------------------------------------------------------------
-
-def zhang_value_real(x):
-    acc = mpmath.mpf(0)
-    for c in reversed(mds.zhang_poly_coeffs()):
-        acc = acc * x + c
-    return acc
-
-
-def euler_product_P(F: FqField, mode: str, deg_max: int, dps: int = 50):
-    """prod over monic irreducibles of P(chi(p)/sqrt|p|), truncated by degree.
-
-    mode 'trivial' uses chi = 1; 'nonsquare' uses chi(p) = (-1)**deg(p).
-    The tail bound comes from |log P(x)| <= C|x|**3 / (1 - C|x|**3) with the
-    coefficient-sum constant C, and Irr(m) <= q**m / m.
-    """
-    if deg_max < 2:
-        raise ValueError("need deg_max >= 2")
-    q = F.q
-    with mpmath.workdps(dps + 10):
-        prod = mpmath.mpf(1)
-        for m in range(1, deg_max + 1):
-            x = mpmath.power(q, mpmath.mpf(-m) / 2)
-            if mode == "nonsquare" and m % 2 == 1:
-                x = -x
-            prod *= zhang_value_real(x) ** fq.irreducible_count(F, m)
-        C = mds._zhang_abs_tail_constant(q)
-        tail_log = mpmath.mpf(0)
-        for m in range(deg_max + 1, deg_max + 400):
-            y = C * mpmath.power(q, mpmath.mpf(-3 * m) / 2)
-            tail_log += (q ** m / m) * y / (1 - y)
-        tail = float(abs(prod) * (mpmath.exp(tail_log) - 1))
-        return {"mode": mode, "deg_max": deg_max, "value": prod,
-                "tail_bound": tail}
-
-
-# ---------------------------------------------------------------------------
 # the secondary-term constant
 # ---------------------------------------------------------------------------
 
@@ -298,26 +260,18 @@ def r_term(F: FqField, D: int, deg_max: int = 8, dps: int = 50):
     """
     q = F.q
     b_plus, b_minus, b_imag = _bracket_values(q)
+    # the trivial (1) and the nonsquare (-1) character class
+    products = {sgn: mds.zhang_euler_product(F, sgn, deg_max, dps) for sgn in (1, -1)}
     with mpmath.workdps(dps + 10):
-        sq = mpmath.sqrt(q)
-        zeta_half7 = (1 / (1 - sq)) ** 7
-        l_half7 = (1 / (1 + sq)) ** 7
-        prod1 = euler_product_P(F, "trivial", deg_max, dps)
-        prod2 = euler_product_P(F, "nonsquare", deg_max, dps)
-        q4 = mpmath.power(q, mpmath.mpf(1) / 4)
-
-        def quartic_to_complex(v: QuarticValue):
-            c = v.coordinates()
-            re = sum(float(c[j]) * q4 ** j for j in range(4))
-            im = sum(float(c[j + 4]) * q4 ** j for j in range(4))
-            return mpmath.mpc(re, im)
-
-        B1 = quartic_to_complex(b_plus).real
-        B2 = quartic_to_complex(b_minus).real
-        B3 = quartic_to_complex(b_imag)
-        line1 = B1 / 4 * zeta_half7 * prod1["value"]
-        line2 = (-1) ** D * B2 / 4 * zeta_half7 * prod1["value"]
-        line3 = mpmath.re(mpmath.mpc(0, 1) ** D * B3) / 2 * l_half7 * prod2["value"]
+        # L(1/2)**7 times the Euler product, per class
+        lp = {sgn: tower_mp(mds.central_l_theta_power7(q, sgn)).real * partials[-1]
+              for sgn, (partials, _) in products.items()}
+        B1 = tower_mp(b_plus).real
+        B2 = tower_mp(b_minus).real
+        B3 = tower_mp(b_imag)
+        line1 = B1 / 4 * lp[1]
+        line2 = (-1) ** D * B2 / 4 * lp[1]
+        line3 = mpmath.re(mpmath.mpc(0, 1) ** D * B3) / 2 * lp[-1]
         value = line1 + line2 + line3
 
         # pole-class expansion: sum over the four classes of rho^D times the
@@ -325,15 +279,13 @@ def r_term(F: FqField, D: int, deg_max: int = 8, dps: int = 50):
         alt = mpmath.mpf(0)
         for rho_name, rho_c in (("1", 1), ("-1", -1), ("i", 1j), ("-i", -1j)):
             sgn_tp = 1 if rho_name in ("1", "-1") else -1
-            gam = quartic_to_complex(mds.gamma_constant(q, 1, sgn_tp, rho_name))
-            lpow = zeta_half7 if sgn_tp == 1 else l_half7
-            prod = prod1["value"] if sgn_tp == 1 else prod2["value"]
-            alt += mpmath.re(mpmath.mpc(rho_c) ** D * gam / 8 * lpow * prod)
+            gam = tower_mp(mds.gamma_constant(q, 1, sgn_tp, rho_name))
+            alt += mpmath.re(mpmath.mpc(rho_c) ** D * gam / 8 * lp[sgn_tp])
 
-        return {"D": D, "q": q, "value": value,
-                "pole_class_expansion": alt,
-                "tail_bound": prod1["tail_bound"] + prod2["tail_bound"],
-                "deg_max": deg_max}
+    tail = sum(abs(float(partials[-1])) * math.expm1(tail_logs[-1])
+               for partials, tail_logs in products.values())
+    return {"D": D, "q": q, "value": value, "pole_class_expansion": alt,
+            "tail_bound": tail, "deg_max": deg_max}
 
 
 # ---------------------------------------------------------------------------

@@ -952,81 +952,31 @@ RHO_CLASSES = ("1", "-1", "i", "-i")
 # High-precision evaluation of tower values
 # ---------------------------------------------------------------------------
 
-def _floor_root_scaled(q: int, k: int, digits: int) -> int:
-    """floor(q**(1/k) * 10**digits) for k in {2, 4}."""
-    scaled = q * 10 ** (k * digits)
-    r = isqrt(scaled)
-    if k == 4:
-        r = isqrt(r)
-    return r
+def tower_mp(value):
+    """A QuadValue as an mpmath ``mpf``, a QuarticValue as an ``mpc``, at
+    mpmath's working precision.
 
-
-def _round_fraction(x: Fraction, digits: int):
-    from decimal import Decimal
-    sign = -1 if x < 0 else 1
-    x = abs(x)
-    scaled = x * 10 ** digits
-    n = scaled.numerator // scaled.denominator
-    if 2 * (scaled - n) >= 1:
-        n += 1
-    return Decimal(sign * n).scaleb(-digits)
-
-
-def tower_eval(value, digits: int = 50):
-    """Evaluate a QuadValue / QuarticValue numerically.
-
-    Returns a Decimal (QuadValue) or a (re, im) Decimal pair (QuarticValue),
-    correctly rounded to ``digits`` decimal places.  Exact zeros map to 0.
+    Each coordinate sum, a + b sqrt q or sum_j n_j q**(j/4) over the integer
+    numerators, is formed with guard bits and then divided by ``den``.  A
+    nonzero such sum has a nonzero integer norm, so it is at least about its
+    largest term to the power 1 - k (k = 2, 4); k times the terms' bit
+    length (the numerators' bits plus those of q) in guard bits keeps
+    cancellation between coordinates from costing digits.
     """
+    import mpmath
     if isinstance(value, QuadValue):
-        if value.is_zero():
-            return _round_fraction(ZERO, digits)
-        guard = digits + 10
-        while True:
-            r = _floor_root_scaled(value.q, 2, guard)
-            lo = value.a + value.b * Fraction(r, 10 ** guard)
-            hi = value.a + value.b * Fraction(r + 1, 10 ** guard)
-            if value.b < 0:
-                lo, hi = hi, lo
-            dlo = _round_fraction(lo, digits)
-            dhi = _round_fraction(hi, digits)
-            if dlo == dhi:
-                return dlo
-            guard += 10
-
-    if isinstance(value, QuarticValue):
-        guard = digits + 10
-        while True:
-            r = _floor_root_scaled(value.q, 4, guard)
-            results = []
-            ok = True
-            coords = value.coordinates()
-            for part in (0, 4):
-                lo = ZERO
-                hi = ZERO
-                for j in range(4):
-                    coef = coords[part + j]
-                    if not coef:
-                        continue
-                    blo = Fraction(r, 10 ** guard) ** j
-                    bhi = Fraction(r + 1, 10 ** guard) ** j
-                    if coef > 0:
-                        lo += coef * blo
-                        hi += coef * bhi
-                    else:
-                        lo += coef * bhi
-                        hi += coef * blo
-                dlo = _round_fraction(lo, digits)
-                dhi = _round_fraction(hi, digits)
-                if dlo != dhi:
-                    ok = False
-                    break
-                results.append(dlo)
-            if ok:
-                return tuple(results)
-            guard += 10
-
-    raise TypeError(f"cannot tower_eval {type(value)!r}")
+        k, parts = 2, (value.nums,)
+    elif isinstance(value, QuarticValue):
+        k, parts = 4, (value.nums[:4], value.nums[4:])
+    else:
+        raise TypeError(f"cannot render {type(value)!r}")
+    bits = max(abs(n).bit_length() for n in value.nums) + value.q.bit_length()
+    with mpmath.extraprec(k * (bits + 3)):
+        root = mpmath.root(value.q, k)
+        sums = [mpmath.fsum(n * root ** j for j, n in enumerate(p) if n) for p in parts]
+    if k == 2:
+        return sums[0] / value.den
+    return mpmath.mpc(*sums) / value.den
 
 
 def tower_float(value) -> complex:

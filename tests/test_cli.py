@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -107,6 +108,25 @@ def test_report_secondary_is_diagnostic(tmp_path):
                          "--cache-dir", str(tmp_path)])
     assert code == 0
     assert json.loads(out)["status"] == "diagnostic"
+
+
+@pytest.mark.parametrize("field", [["--q", "3", "--ext-degree", "2"], ["--q", "13"]])
+def test_rterm_runs_past_q5(field):
+    # the Euler-product tail once formed q**k / k as a float, which
+    # overflows at q = 9 and 13
+    code, out = run_cli(["rterm", "--d-max", "1"] + field)
+    assert code == 0
+    items = json.loads(out)["items"]
+    assert len(items) == 2
+    assert all(math.isfinite(item["tail_bound"]) for item in items)
+
+
+@pytest.mark.parametrize("argv", [["--prod-deg-max", "1"], ["--h-deg-max", "-1"]])
+def test_residue_z0_bad_degree_is_rejected(argv):
+    code, out = run_cli(["residue-z0"] + argv)
+    assert code == 1
+    errors = [i["error"] for i in json.loads(out)["items"] if i["name"] == "internal_error"]
+    assert len(errors) == 1 and errors[0].startswith("ValueError")
 
 
 def test_env_override(monkeypatch):

@@ -296,6 +296,18 @@ def test_zhang_polynomial_expansion():
     assert mds.zhang_poly_coeffs()[:6] == [1, 0, 0, -14, -1, 78]
 
 
+def test_zhang_euler_product_rejects_bad_input():
+    with pytest.raises(ValueError, match="sgn"):
+        mds.zhang_euler_product(F5, 0, 8)
+    with pytest.raises(ValueError, match="deg_max"):
+        mds.zhang_euler_product(F5, 1, 1)
+
+
+def test_residue_z0_rejects_negative_h_degree():
+    with pytest.raises(ValueError, match="h_deg_max"):
+        mds.residue_z0_three_quarters(F5, 1, "1", h_deg_max=-1)
+
+
 def test_per_prime_residue_identity():
     for degp in (1, 2, 3):
         for rho in RHO_CLASSES:

@@ -3,6 +3,7 @@ import json
 import os
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from mdsforge import fq, lseries, mds, moments
@@ -155,21 +156,29 @@ def test_store_moment_interrupted_leaves_nothing(tmp_path, monkeypatch):
 
 
 def test_euler_product_tail_honored():
-    e6 = moments.euler_product_P(F5, "trivial", 6)
-    e8 = moments.euler_product_P(F5, "trivial", 8)
-    assert abs(float(e8["value"]) - float(e6["value"])) < e6["tail_bound"]
-    assert e8["tail_bound"] < e6["tail_bound"]
-    with pytest.raises(ValueError):
-        moments.euler_product_P(F5, "trivial", 1)
+    # each tail bounds the log of every longer partial product, and the
+    # direct sum of the Irr(k)-fold per-degree bounds over 59 degrees
+    for F in (F5, F9, F13):
+        q = F.q
+        C = mds._zhang_abs_tail_constant(q)
+        for sgn in (1, -1):
+            partials, tails = mds.zhang_euler_product(F, sgn, 8)
+            assert len(partials) == len(tails) == 8
+            for M in (1, 2, 3):
+                ys = [C * q ** (-1.5 * k) for k in range(M + 1, M + 60)]
+                direct = sum(fq.irreducible_count(F, k) * y / (1 - y)
+                             for k, y in zip(range(M + 1, M + 60), ys))
+                assert tails[M - 1] >= direct, (q, sgn, M)
+                for M2 in range(M + 1, 9):
+                    ratio = partials[M2 - 1] / partials[M - 1]
+                    assert abs(mpmath.log(ratio)) <= tails[M - 1]
 
 
 def test_zhang_factored_equals_expanded():
     for x in (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)):
         factored = (1 - x) ** 5 * (1 + x) * sum(
             c * x ** k for k, c in enumerate(mds.ZHANG_CORE))
-        expanded = sum(c * x ** k
-                       for k, c in enumerate(mds.zhang_poly_coeffs()))
-        assert factored == expanded
+        assert factored == mds.zhang_value(x)
 
 
 def test_r_term_brackets_and_period():

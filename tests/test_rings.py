@@ -2,12 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from mdsforge.rings import (MultiPoly, ParamPoly, PP_ONE, QuadValue,
                             QuarticValue, RationalFunction, TruncSeries,
-                            accumulate, expand, rat_equal, tower_eval,
-                            tower_float)
+                            accumulate, expand, rat_equal, tower_float,
+                            tower_mp)
 
 
 def test_accumulate():
@@ -291,13 +292,18 @@ def test_tower_values_are_in_normal_form():
         assert u == v and hash(u) == hash(v), (u, v)
 
 
-def test_tower_eval():
-    val = tower_eval(1 / (1 - QuadValue.sqrt_q(5)), 8)
-    assert str(val) == "-0.80901699"
-    val2 = tower_eval(1 / (1 + QuadValue.sqrt_q(5)), 8)
-    assert str(val2) == "0.30901699"
-    assert tower_eval(QuadValue(5, 0, 0), 10) == 0
-    re, im = tower_eval(QuarticValue.root4(5) + QuarticValue.i_unit(5), 6)
-    assert str(re) == "1.495349"
-    assert str(im) == "1.000000"
+def test_tower_mp():
+    with mpmath.workdps(8):
+        assert str(tower_mp(1 / (1 - QuadValue.sqrt_q(5)))) == "-0.80901699"
+        assert str(tower_mp(1 / (1 + QuadValue.sqrt_q(5)))) == "0.30901699"
+        assert tower_mp(QuadValue(5, 0, 0)) == 0
+        assert tower_mp(QuarticValue.from_rational(5, 0)) == 0
+        val = tower_mp(QuarticValue.root4(5) + QuarticValue.i_unit(5))
+        assert mpmath.nstr(val.real, 7) == "1.495349" and val.imag == 1
+    # a - b sqrt 5 = 1/(a + b sqrt 5) for a Pell unit: the two terms of the
+    # left side cancel in their first 50 digits
+    a, b = (QuadValue(5, 9, 4) ** 40).nums
+    with mpmath.workdps(50):
+        small = tower_mp(QuadValue(5, a, -b))
+        assert abs(small * tower_mp(QuadValue(5, a, b)) - 1) < mpmath.mpf(10) ** -40
     assert abs(tower_float(QuarticValue.root4(5)) - 5 ** 0.25) < 1e-12
