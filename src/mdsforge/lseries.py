@@ -11,6 +11,7 @@ special forms 1/(1 - q**(1-s)) and 1/(1 + q**(1-s)).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, compress, repeat
 
 from . import fq
 from .fq import FqField
@@ -53,28 +54,19 @@ def prime_symbol(F: FqField, top, p) -> int:
 
 
 @lru_cache(maxsize=None)
-def _primes_up_to(field_key, n_max):
-    F = fq.build_field(*field_key)
-    out = []
-    for d in range(1, n_max + 1):
-        out.extend(fq.irreducibles(F, d))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _symbol_plan(field_key, n_max):
     """Per-prime evaluation strategy: linear primes by root evaluation,
     small primes by residue table, the rest by Euclidean reduction."""
     F = fq.build_field(*field_key)
     plan = []
-    for p in _primes_up_to(field_key, n_max):
-        dp = fq.deg(p)
-        if dp == 1:
-            plan.append((p, dp, "root", F.neg[p[0]]))
-        elif F.q ** dp <= SYMBOL_TABLE_MAX_NORM:
-            plan.append((p, dp, "table", _residue_symbol_table(field_key, p)))
-        else:
-            plan.append((p, dp, "euclid", None))
+    for dp in range(1, n_max + 1):
+        for p in fq.irreducibles(F, dp):
+            if dp == 1:
+                plan.append((p, dp, "root", F.neg[p[0]]))
+            elif F.q ** dp <= SYMBOL_TABLE_MAX_NORM:
+                plan.append((p, dp, "table", _residue_symbol_table(field_key, p)))
+            else:
+                plan.append((p, dp, "euclid", None))
     return tuple(plan)
 
 
@@ -164,10 +156,8 @@ class LPolynomial:
     def central_value(self) -> QuadValue:
         """L at u = q**(-1/2), exactly in Q(sqrt q)."""
         q = self.F.q
-        if self.special == "zeta":
-            return 1 / (1 - QuadValue.sqrt_q(q))
-        if self.special == "minus":
-            return 1 / (1 + QuadValue.sqrt_q(q))
+        if self.special:
+            return zeta_half(q) if self.special == "zeta" else l_nonsquare_half(q)
         a, b, k = self.central_parts()
         return QuadValue(q, a, b, q ** k)
 
@@ -263,6 +253,128 @@ def zeta_half(q: int) -> QuadValue:
 def l_nonsquare_half(q: int) -> QuadValue:
     """L(1/2) for the non-square constant-conductor character: 1/(1+sqrt q)."""
     return 1 / (1 + QuadValue.sqrt_q(q))
+
+
+# ---------------------------------------------------------------------------
+# central values of a family by character-count class
+# ---------------------------------------------------------------------------
+
+# The family is chi = chi_{unit*c*d0} over monic square-free d0 of degree a;
+# the conductor degree is D = a + deg c.  The lower half c_0..c_h of L(u, chi)
+# (h = fe_lower_degree(D)) is the Euler product over the primes P of degree
+# <= h, truncated after u**h, so it depends only on how many primes of each
+# degree have chi(P) = +1 and how many -1: the character-count class of d0.
+# chi(P) = s_P (d0/P) with s_P = chi2(unit)**deg P (c/P), which is 0 when
+# P | c.  The d0 are indexed as in fq.monic_by_index, idx = lo + q**L * hi,
+# and d0 mod P is F_q-linear in the digits of idx: the sum of a residue read
+# off the low digits and one read off the high digits.  Residues of degree
+# < k are coded by their base-q coefficient index.
+
+@lru_cache(maxsize=None)
+def _code_add_table(field_key, k):
+    """add[a][b]: the code of the sum of the residues coded a and b."""
+    F = fq.build_field(*field_key)
+    q = F.q
+    if k == 0:
+        return [[0]]
+    prev = _code_add_table(field_key, k - 1)
+    # one int object per code, shared by every row, keeps the table at one
+    # pointer per entry
+    codes = list(range(q ** k))
+    # a = a0 + q*a1 and b = b0 + q*b1 with a0, b0 the constant digits
+    return [[codes[F.addtab[a0][b0] + q * s] for s in prev[a1] for b0 in range(q)]
+            for a1 in range(q ** (k - 1)) for a0 in range(q)]
+
+
+def _span_codes(add, base, steps):
+    """Codes of base + c_0 v_0 + c_1 v_1 + ... in digit-index order, where
+    steps[i][c] is the code of c * v_i."""
+    codes = [base]
+    for step in steps:
+        codes = [add[r][s] for s in step for r in codes]
+    return codes
+
+
+@lru_cache(maxsize=None)
+def _class_plan(field_key, a, c, unit):
+    """(L, radix, terms) for the family unit*c*d0 with deg d0 = a.
+
+    A class key is sum over degrees k <= h of plus_k w_k + minus_k w'_k in
+    the mixed radix ``radix`` (plus_1, minus_1, plus_2, ...).  Each term
+    (wsym, add, lo, hi) serves one prime P not dividing c: wsym[r] is the
+    key weight of chi(P) for d0 = r mod P, and lo[i], hi[j] are the codes of
+    the parts of d0 mod P from the low and high digits."""
+    F = fq.build_field(*field_key)
+    q = F.q
+    L = (a + 1) // 2
+    radix, terms = [], []
+    weight = 1
+    for k in range(1, fe_lower_degree(a + fq.deg(c)) + 1):
+        add = _code_add_table(field_key, k)
+        primes = fq.irreducibles(F, k)
+        radix += [len(primes) + 1] * 2
+        plus, minus = weight, weight * (len(primes) + 1)
+        weight = minus * (len(primes) + 1)
+        for p in primes:
+            s_p = F.chi2[unit] ** k * fq.kronecker(F, c, p)
+            if not s_p:
+                continue
+            by_symbol = {0: 0, s_p: plus, -s_p: minus}
+            table = _residue_symbol_table(field_key, p)
+            wsym = [by_symbol[table[fq.trim(fq.monic_by_index(F, k, r)[:-1])]]
+                    for r in range(q ** k)]
+            # steps[i][u]: the code of u * x**i mod p
+            steps = []
+            for i in range(a + 1):
+                xi = fq.pmod(F, fq.monic_by_index(F, i, 0), p)
+                steps.append([fq.coeff_index(F, fq.pscale(F, xi, u)) for u in range(q)])
+            terms.append((wsym, add, _span_codes(add, 0, steps[:L]),
+                          _span_codes(add, steps[a][1], steps[L:a])))
+    return L, tuple(radix), tuple(terms)
+
+
+def class_keys(F: FqField, a: int, c=fq.P_ONE, unit: int = 1, part: int = 0, parts: int = 1):
+    """Per high-digit block in the part-th of ``parts`` contiguous runs of
+    blocks, an iterator over the class keys of unit*c*d0 for the square-free
+    d0 of degree a in the block, in index order."""
+    L, _, terms = _class_plan((F.p, F.e), a, c, unit)
+    width, blocks = F.q ** L, F.q ** (a - L)
+    chunk = -(-blocks // parts)
+    mask = fq.squarefree_mask(F, a)
+    for hi in range(part * chunk, min((part + 1) * chunk, blocks)):
+        # one row of key weights per prime: its weight table shifted by the
+        # high-digit residue, read at each low-digit residue
+        rows = [map(list(map(wsym.__getitem__, add[his[hi]])).__getitem__, los)
+                for wsym, add, los, his in terms]
+        keys = map(sum, zip(*rows)) if rows else repeat(0, width)
+        yield compress(keys, mask[hi * width:(hi + 1) * width])
+
+
+def class_value(F: FqField, a: int, key: int, c=fq.P_ONE, unit: int = 1) -> QuadValue:
+    """L(1/2, chi_{unit*c*d0}) for the degree-a d0 of class ``key``: the
+    Euler product of the class's sign counts, completed by the functional
+    equation with sign chi2(unit)."""
+    q, D = F.q, a + fq.deg(c)
+    if D == 0:
+        return zeta_half(q) if F.chi2[unit] == 1 else l_nonsquare_half(q)
+    _, radix, _ = _class_plan((F.p, F.e), a, c, unit)
+    factors = []
+    for i, r in enumerate(radix):
+        key, n = divmod(key, r)
+        factors += [(i // 2 + 1, -1 if i % 2 else 1)] * n
+    coeffs = _fe_complete(F, F.chi2[unit], D, euler_coeffs(fe_lower_degree(D), factors))
+    num_a, num_b, k = central_parts(q, D, coeffs)
+    return QuadValue(q, num_a, num_b, q ** k)
+
+
+@lru_cache(maxsize=None)
+def family_values(field_key, a: int, c=fq.P_ONE, unit: int = 1):
+    """(keys, values): keys[i] is the class key of unit*c*d0 for the i-th d0
+    of fq.enumerate_monic(F, a, "squarefree"), and values maps each key to
+    its L(1/2).  Cached per family, so callers share one value per class."""
+    F = fq.build_field(*field_key)
+    keys = tuple(chain.from_iterable(class_keys(F, a, c, unit)))
+    return keys, {key: class_value(F, a, key, c, unit) for key in set(keys)}
 
 
 # ---------------------------------------------------------------------------

@@ -454,15 +454,6 @@ def compare_routes(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
 # central-variable series at the centre (Q(sqrt q) coefficients)
 # ---------------------------------------------------------------------------
 
-def _l_correction(F: FqField, unit, monics, skip_primes) -> QuadValue:
-    """prod over p in skip of (1 - chi(p) |p|**(-1/2))."""
-    q = F.q
-    out = QuadValue(q, 1, 0)
-    for p in skip_primes:
-        out = out * (1 - d4._qpow_half(q, -fq.deg(p)) * chi(F, unit, monics, p))
-    return out
-
-
 def zc_t4_series(F: FqField, tw: TwistSpec, n_max: int):
     """Central-point coefficients of the twisted series: entry n sums the
     per-d closed form over monic d of degree n coprime to the twist."""
@@ -471,24 +462,24 @@ def zc_t4_series(F: FqField, tw: TwistSpec, n_max: int):
     d1_rows = [[d1 for d1, _ in row] for row in _profile_rows(F, tw, n_max // 2)]
     out = [QuadValue(q, 0, 0) for _ in range(n_max + 1)]
     for a in range(n_max + 1):
-        b_max = (n_max - a) // 2
-        if b_max < 0:
-            continue
-        for d0 in fq.enumerate_monic(F, a, "squarefree"):
+        keys, values = lseries.family_values((F.p, F.e), a, tw.c1, tw.a1)
+        # L(1/2)**3 with the Euler factors at the primes of c2 c3 removed,
+        # one per class and sign pattern at those primes
+        cubes = {}
+        for d0, key in zip(fq.enumerate_monic(F, a, "squarefree"), keys):
             if not all(fq.pmod(F, d0, p) for p in tw.c_primes):
                 continue
-            cond = fq.pmul(F, tw.c1, d0)
-            lval = lseries.central_value(F, cond, tw.a1)
-            lval = lval * _l_correction(F, tw.a1, (tw.c1, d0), skip)
-            lcube = lval ** 3
-            s_d0 = chi(F, tw.a2, (tw.c2,), d0)
-            if s_d0 == 0:
-                continue
-            base = lcube * s_d0
-            for b in range(b_max + 1):
-                n = a + 2 * b
+            signs = tuple(chi(F, tw.a1, (tw.c1, d0), p) for p in skip)
+            lcube = cubes.get((key, signs))
+            if lcube is None:
+                lval = values[key]
+                for p, s in zip(skip, signs):
+                    lval = lval * (1 - d4._qpow_half(q, -fq.deg(p)) * s)
+                lcube = cubes[key, signs] = lval ** 3
+            base = lcube * chi(F, tw.a2, (tw.c2,), d0)
+            for b in range((n_max - a) // 2 + 1):
                 for d1 in d1_rows[b]:
-                    out[n] = out[n] + base * pd_value(F, d0, d1, tw.a1, (tw.c1, d0))
+                    out[a + 2 * b] = out[a + 2 * b] + base * pd_value(F, d0, d1, tw.a1, (tw.c1, d0))
     return out
 
 
@@ -499,18 +490,16 @@ def sieved_t4_series(F: FqField, h, a2: int, n_max: int):
         raise ValueError("h must be square-free")
     dh = fq.deg(h)
     out = [QuadValue(q, 0, 0) for _ in range(n_max + 1)]
-    for a in range(n_max + 1):
+    for a in range(n_max - 2 * dh + 1):
+        keys, values = lseries.family_values((F.p, F.e), a)
+        s_d0 = F.chi2[a2] ** a
+        cubes = {key: v ** 3 * s_d0 for key, v in values.items()}
         for e_deg in range((n_max - a) // 2 - dh + 1):
-            b = e_deg + dh
-            if a + 2 * b > n_max:
-                continue
-            for d0 in fq.enumerate_monic(F, a, "squarefree"):
-                lcube = lseries.central_value(F, d0) ** 3
-                s_d0 = F.chi2[a2] ** fq.deg(d0)
-                for e in fq.enumerate_monic(F, e_deg):
-                    d1 = fq.pmul(F, h, e)
-                    val = lcube * pd_value(F, d0, d1, 1, (d0,)) * s_d0
-                    out[a + 2 * b] = out[a + 2 * b] + val
+            n = a + 2 * (e_deg + dh)
+            d1s = [fq.pmul(F, h, e) for e in fq.enumerate_monic(F, e_deg)]
+            for d0, key in zip(fq.enumerate_monic(F, a, "squarefree"), keys):
+                for d1 in d1s:
+                    out[n] = out[n] + cubes[key] * pd_value(F, d0, d1, 1, (d0,))
     return out
 
 

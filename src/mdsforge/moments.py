@@ -15,8 +15,7 @@ import math
 import os
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain
 
 import mpmath
 
@@ -29,132 +28,28 @@ from .rings import QuadValue, tower_float, tower_mp
 # moment sums
 # ---------------------------------------------------------------------------
 
-# The lower half c_0..c_h of L(u, chi_d0) is the Euler product over the
-# primes P of degree <= h, truncated after u**h, so it depends only on how
-# many primes of each degree have chi_d0(P) = +1 and how many -1.  S(D) is
-# thus a sum over these character-count classes of multiplicity x cube.
-# Conductors are indexed as in fq.monic_by_index, idx = lo + q**L * hi, and
-# d0 mod P is F_q-linear in the digits of idx: the sum of a residue read off
-# the low digits and one read off the high digits.  Residues of degree < k
-# are coded by their base-q coefficient index.
-
-
-@lru_cache(maxsize=None)
-def _code_add_table(field_key, k):
-    """add[a][b]: the code of the sum of the residues coded a and b."""
-    F = fq.build_field(*field_key)
-    q = F.q
-    if k == 0:
-        return [[0]]
-    prev = _code_add_table(field_key, k - 1)
-    # one int object per code, shared by every row, keeps the table at one
-    # pointer per entry
-    codes = list(range(q ** k))
-    # a = a0 + q*a1 and b = b0 + q*b1 with a0, b0 the constant digits
-    return [[codes[F.addtab[a0][b0] + q * s] for s in prev[a1] for b0 in range(q)]
-            for a1 in range(q ** (k - 1)) for a0 in range(q)]
-
-
-def _span_codes(add, base, steps):
-    """Codes of base + c_0 v_0 + c_1 v_1 + ... in digit-index order, where
-    steps[i][c] is the code of c * v_i."""
-    codes = [base]
-    for step in steps:
-        codes = [add[r][s] for s in step for r in codes]
-    return codes
-
-
-@lru_cache(maxsize=None)
-def _class_plan(field_key, D):
-    """(L, radix, terms) for degree-D conductors.
-
-    A class key is sum over degrees k <= h of plus_k w_k + minus_k w'_k in
-    the mixed radix ``radix`` (plus_1, minus_1, plus_2, ...).  Each term
-    (wsym, add, lo, hi) serves one prime P: wsym[r] is the key weight of
-    the symbol (r/P), and lo[i], hi[j] are the codes of the parts of d0 mod P
-    from the low and high digits."""
-    F = fq.build_field(*field_key)
-    q = F.q
-    L = (D + 1) // 2
-    radix, terms = [], []
-    weight = 1
-    for k in range(1, lseries.fe_lower_degree(D) + 1):
-        add = _code_add_table(field_key, k)
-        primes = fq.irreducibles(F, k)
-        radix += [len(primes) + 1] * 2
-        plus, minus = weight, weight * (len(primes) + 1)
-        weight = minus * (len(primes) + 1)
-        by_symbol = {0: 0, 1: plus, -1: minus}
-        for p in primes:
-            table = lseries._residue_symbol_table(field_key, p)
-            wsym = [by_symbol[table[fq.trim(fq.monic_by_index(F, k, r)[:-1])]]
-                    for r in range(q ** k)]
-            # steps[i][c]: the code of c * x**i mod p
-            steps = []
-            for i in range(D + 1):
-                xi = fq.pmod(F, fq.monic_by_index(F, i, 0), p)
-                steps.append([fq.coeff_index(F, fq.pscale(F, xi, c)) for c in range(q)])
-            terms.append((wsym, add, _span_codes(add, 0, steps[:L]),
-                          _span_codes(add, steps[D][1], steps[L:D])))
-    return L, tuple(radix), tuple(terms)
-
-
 def _moment_partial(args):
-    """Worker: the class counts of the square-free degree-D conductors whose
-    high digits lie in [start, stop)."""
-    p, e, D, start, stop = args
+    """Worker: the class counts of the square-free degree-D conductors in
+    the part-th of ``parts`` runs of high-digit blocks."""
+    p, e, D, part, parts = args
     F = fq.build_field(p, e)
-    L, _, terms = _class_plan((p, e), D)
-    width = F.q ** L
-    mask = fq.squarefree_mask(F, D)
-    counts = Counter()
-    for hi in range(start, stop):
-        # one row of key weights per prime: its symbol table shifted by the
-        # high-digit residue, read at each low-digit residue
-        rows = [map(list(map(wsym.__getitem__, add[his[hi]])).__getitem__, los)
-                for wsym, add, los, his in terms]
-        keys = map(sum, zip(*rows)) if rows else repeat(0, width)
-        counts.update(compress(keys, mask[hi * width:(hi + 1) * width]))
-    return counts
-
-
-def _class_sum(F: FqField, D: int, counts) -> QuadValue:
-    """Sum of multiplicity x cube over the classes: each lower half is the
-    Euler product of the class's sign counts, completed by the functional
-    equation."""
-    q = F.q
-    _, radix, _ = _class_plan((F.p, F.e), D)
-    h = lseries.fe_lower_degree(D)
-    total = QuadValue(q)
-    for key, mult in counts.items():
-        factors = []
-        for i, r in enumerate(radix):
-            key, n = divmod(key, r)
-            factors += [(i // 2 + 1, -1 if i % 2 else 1)] * n
-        coeffs = lseries._fe_complete(F, 1, D, lseries.euler_coeffs(h, factors))
-        a, b, k = lseries.central_parts(q, D, coeffs)
-        total = total + QuadValue(q, a, b, q ** k) ** 3 * mult
-    return total
+    return Counter(chain.from_iterable(lseries.class_keys(F, D, part=part, parts=parts)))
 
 
 def moment_sum(F: FqField, D: int, workers: int = 1) -> QuadValue:
     """S(D): exact sum of cubed central values over degree-D conductors."""
     if D < 0:
         raise ValueError(f"conductor degree D = {D} is negative")
-    if D == 0:
-        return lseries.zeta_half(F.q) ** 3
-    L, _, _ = _class_plan((F.p, F.e), D)
-    blocks = F.q ** (D - L)
     if workers <= 1:
-        parts = [_moment_partial((F.p, F.e, D, 0, blocks))]
+        parts = [_moment_partial((F.p, F.e, D, 0, 1))]
     else:
         import multiprocessing
-        chunk = (blocks + workers - 1) // workers
-        jobs = [(F.p, F.e, D, k * chunk, min((k + 1) * chunk, blocks))
-                for k in range(workers) if k * chunk < blocks]
         with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_moment_partial, jobs)
-    return _class_sum(F, D, sum(parts, Counter()))
+            parts = pool.map(_moment_partial, [(F.p, F.e, D, k, workers)
+                                               for k in range(workers)])
+    # S(D) is a sum over the character-count classes of multiplicity x cube
+    return sum((lseries.class_value(F, D, key) ** 3 * mult
+                for key, mult in sum(parts, Counter()).items()), QuadValue(F.q))
 
 
 # -- cache ---------------------------------------------------------------
@@ -308,14 +203,17 @@ def secondary_term_report(F: FqField, D_max: int, cache_dir=None, workers: int =
     # growth: S(D) / (q^D (D+1)^6) should stay bounded (order-7 boundary pole)
     growth = [svals[D] / (q ** D * (D + 1) ** 6) for D in range(D_max + 1)]
 
+    # q**(3D/4) R(D, q), computed once for every fit that subtracts it
+    secondary = [q ** (0.75 * D) * float(r_term(F, D, deg_max=6, dps=30)["value"])
+                 for D in range(D_max + 1)]
+
     def fit(degree, subtract_secondary):
         rows = []
         rhs = []
         for D in range(D_max + 1):
             target = svals[D]
             if subtract_secondary:
-                rt = r_term(F, D, deg_max=6, dps=30)
-                target -= q ** (0.75 * D) * float(rt["value"])
+                target -= secondary[D]
             row = [q ** D * D ** k for k in range(degree + 1)]
             row += [(-q) ** D * D ** k for k in range(degree + 1)]
             rows.append(row)

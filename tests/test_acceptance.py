@@ -132,7 +132,7 @@ def test_criterion_07_fundamental_decomposition():
     t0 = time.time()
     ok = True
     details = []
-    for h, n in ((X, 4), (fq.pmul(F5, X, XP1), 3)):
+    for h, n in ((X, 4), (fq.pmul(F5, X, XP1), 5)):
         for a2 in (1, THETA5):
             rep = mds.check_fundamental_decomposition(F5, h, a2, n)
             ok = ok and rep["ok"]

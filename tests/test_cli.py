@@ -72,6 +72,28 @@ def test_moments_with_cache(tmp_path):
     assert strip(out) == strip(out2)
 
 
+def _sieve_check(out):
+    return [i for i in json.loads(out)["items"]
+            if i["name"] == "sieve_reconstruction_cross_check"]
+
+
+def test_moments_q13_sieve_cross_check_passes():
+    code, out = run_cli(["moments", "--q", "13", "--d-max", "4"])
+    assert code == 0
+    assert [i["status"] for i in _sieve_check(out)] == ["pass"]
+
+
+def test_moments_sieve_cross_check_catches_a_dropped_modulus(monkeypatch):
+    # the class fill and the sieve read the same central values, so the
+    # check guards the mu-sieve: drop the modulus h = x from it
+    from mdsforge import fq
+    mobius = fq.mobius
+    monkeypatch.setattr(fq, "mobius", lambda F, h: 0 if h == (0, 1) else mobius(F, h))
+    code, out = run_cli(["moments", "--d-max", "3"])
+    assert code == 1
+    assert [i["status"] for i in _sieve_check(out)] == ["fail"]
+
+
 def test_moments_negative_degree_is_rejected():
     code, out = run_cli(["moments", "--d-max", "-1"])
     assert code == 1

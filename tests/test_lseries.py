@@ -1,10 +1,11 @@
 import random
+from itertools import chain
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from mdsforge import fq, lseries
+from mdsforge import d4, fq, lseries, mds
 from mdsforge.rings import QuadValue, tower_mp
 
 
@@ -171,3 +172,67 @@ def test_weil_moduli():
     # odd degree too
     rep = lseries.check_weil(F5, (2, 0, 1, 0, 0, 1))
     assert rep["ok"]
+
+
+F13 = fq.build_field(13)
+
+
+def _engine_mismatches(F, a, c=fq.P_ONE, unit=1):
+    """The degree-a d0 coprime to c whose family value differs from the
+    independent per-conductor route l_polynomial(F, c*d0, unit)."""
+    keys, values = lseries.family_values((F.p, F.e), a, c, unit)
+    d0s = list(fq.enumerate_monic(F, a, "squarefree"))
+    assert len(keys) == len(d0s)
+    return [d0 for d0, key in zip(d0s, keys)
+            if fq.is_squarefree(F, fq.pmul(F, c, d0))
+            and values[key] != lseries.central_value(F, fq.pmul(F, c, d0), unit)]
+
+
+@pytest.mark.parametrize("F,a_max", [(F5, 6), (F9, 4), (F13, 3)], ids=["q5", "q9", "q13"])
+def test_family_values_match_l_polynomial(F, a_max):
+    for a in range(a_max + 1):
+        assert not _engine_mismatches(F, a), (F.q, a)
+
+
+def test_twisted_family_values_match_l_polynomial():
+    for c in (fq.P_ONE, X, fq.pmul(F5, X, (1, 1))):
+        for unit in (1, F5.nonsquare_unit):
+            for a in range(5):
+                assert not _engine_mismatches(F5, a, c, unit), (c, unit, a)
+
+
+def test_class_keys_stream_matches_family_keys():
+    # the block streams moment_sum counts, over any partition of the blocks,
+    # make up the cached per-degree key tuple
+    for a, c, unit in ((5, fq.P_ONE, 1), (4, X, F5.nonsquare_unit)):
+        keys, _ = lseries.family_values((F5.p, F5.e), a, c, unit)
+        for parts in (1, 2, 3, 30):
+            assert tuple(chain.from_iterable(
+                chain.from_iterable(lseries.class_keys(F5, a, c, unit, k, parts))
+                for k in range(parts))) == keys, (a, parts)
+
+
+def test_flipped_engine_symbol_is_caught(monkeypatch):
+    # swap the +1 and -1 weights of one residue of one degree-one prime
+    plan = lseries._class_plan
+
+    def flipped(field_key, a, c, unit):
+        L, radix, terms = plan(field_key, a, c, unit)
+        if terms:
+            wsym, add, lo, hi = terms[0]
+            q = fq.build_field(*field_key).q
+            wsym = list(wsym)
+            wsym[1] = {0: 0, 1: q + 1, q + 1: 1}[wsym[1]]
+            terms = ((wsym, add, lo, hi),) + terms[1:]
+        return L, radix, terms
+
+    lseries.family_values.cache_clear()
+    monkeypatch.setattr(lseries, "_class_plan", flipped)
+    try:
+        assert _engine_mismatches(F5, 3)
+        assert (mds.zc_t4_series(F5, mds.TwistSpec(F5), 4)
+                != d4.explicit_center_t4_series(5, 4))
+    finally:
+        monkeypatch.undo()
+        lseries.family_values.cache_clear()
+    assert not _engine_mismatches(F5, 3)

@@ -149,6 +149,44 @@ def test_central_series_normalization():
     assert all(a == b for a, b in zip(series, oracle))
 
 
+def _zc_t4_series_per_d0(F, tw, n_max):
+    """Oracle: the twisted central series with one l_polynomial per d0."""
+    q = F.q
+    skip = tuple(p for p, _ in fq.factor(F, fq.pmul(F, tw.c2, tw.c3))[1])
+    d1_rows = [[d1 for d1, _ in row] for row in mds._profile_rows(F, tw, n_max // 2)]
+    out = [QuadValue(q, 0, 0) for _ in range(n_max + 1)]
+    for a in range(n_max + 1):
+        for d0 in fq.enumerate_monic(F, a, "squarefree"):
+            if not all(fq.pmod(F, d0, p) for p in tw.c_primes):
+                continue
+            lval = lseries.central_value(F, fq.pmul(F, tw.c1, d0), tw.a1)
+            for p in skip:
+                s = mds.chi(F, tw.a1, (tw.c1, d0), p)
+                lval = lval * (1 - d4._qpow_half(q, -fq.deg(p)) * s)
+            base = lval ** 3 * mds.chi(F, tw.a2, (tw.c2,), d0)
+            for b in range((n_max - a) // 2 + 1):
+                for d1 in d1_rows[b]:
+                    out[a + 2 * b] = out[a + 2 * b] + base * mds.pd_value(
+                        F, d0, d1, tw.a1, (tw.c1, d0))
+    return out
+
+
+@pytest.mark.parametrize("F,tw,n_max", [(F5, mds.TwistSpec(F5), 5), (F9, mds.TwistSpec(F9), 4)]
+                         + [(F5, tw, 4) for tw in SERIES_TWISTS[1:]],
+                         ids=["q5", "q9"] + [f"twist{i}" for i in range(1, 5)])
+def test_central_series_matches_per_d0_oracle(F, tw, n_max):
+    assert mds.zc_t4_series(F, tw, n_max) == _zc_t4_series_per_d0(F, tw, n_max)
+
+
+def test_perturbed_pl_center_value_fails_the_centre_oracle(monkeypatch):
+    # the mu-sieve cancels every d1 != 1 term whatever its value, so the
+    # sieve reconstruction cannot see pd_value; the explicit centre oracle can
+    pl = mds.pl_center_value
+    monkeypatch.setattr(mds, "pl_center_value",
+                        lambda l, degp, sign, q: pl(l, degp, sign, q) * (2 if l == 2 else 1))
+    assert mds.zc_t4_series(F5, mds.TwistSpec(F5), 4) != d4.explicit_center_t4_series(5, 4)
+
+
 def test_sieved_series_h1_equals_untwisted():
     tw = mds.TwistSpec(F5)
     assert mds.sieved_t4_series(F5, fq.P_ONE, 1, 3) == mds.zc_t4_series(F5, tw, 3)

@@ -80,12 +80,12 @@ def test_planted_defects_change_the_moment(monkeypatch):
             out[fq.P_ONE] = -out[fq.P_ONE]
         return out
 
-    moments._class_plan.cache_clear()
+    lseries._class_plan.cache_clear()
     monkeypatch.setattr(lseries, "_residue_symbol_table", flipped)
     try:
         assert moments.moment_sum(F, D) != oracle
     finally:
-        moments._class_plan.cache_clear()
+        lseries._class_plan.cache_clear()
     monkeypatch.undo()
     assert moments.moment_sum(F, D) == oracle
 
@@ -205,6 +205,29 @@ def test_secondary_report_runs(tmp_path):
     # partial sums inside the disk settle down
     tail = rep["generating_series_partials"][-3:]
     assert max(tail) - min(tail) < 0.2 * (abs(tail[-1]) + 1)
+
+
+def test_secondary_report_computes_r_term_once_per_degree(monkeypatch):
+    calls = []
+    r_term = moments.r_term
+
+    def counted(F, D, **kwargs):
+        calls.append(D)
+        return r_term(F, D, **kwargs)
+
+    monkeypatch.setattr(moments, "r_term", counted)
+    rep = moments.secondary_term_report(F5, 5)
+    assert calls == list(range(6))
+    # the fits as computed with one r_term call per degree and fit
+    expected = [(0, False, 0.031600990670590745, 5.0),
+                (0, True, 0.03159563625659185, 5.0),
+                (1, False, 0.0009563447170643361, 564.740230091199),
+                (1, True, 0.0009564383778055246, 564.740230091199)]
+    got = [(f["degree"], f["subtract_secondary"], f["relative_max_residual"],
+            f["condition_number"]) for f in rep["fits"]]
+    assert [g[:2] for g in got] == [e[:2] for e in expected]
+    for g, e in zip(got, expected):
+        assert g[2:] == pytest.approx(e[2:], rel=1e-9)
 
 
 def test_inequality_grid_q5():
