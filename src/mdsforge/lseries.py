@@ -19,55 +19,15 @@ from .rings import QuadValue
 
 
 # ---------------------------------------------------------------------------
-# fast symbol tables per small prime
+# the quadratic symbol at a prime
 # ---------------------------------------------------------------------------
 
-# Residue tables are kept for primes of norm up to this bound.
-SYMBOL_TABLE_MAX_NORM = 2048
-
-
-@lru_cache(maxsize=None)
-def _residue_symbol_table(field_key, p):
-    """(r/p) for every residue r mod the irreducible p, as a dict: the
-    nonzero squares map to +1, the other nonzero residues to -1.  Every
-    nonzero square is (c*m)**2 = c**2 * m**2 with m monic, so each monic m is
-    squared once and m*m mod p is scaled by the (q-1)/2 square units."""
-    F = fq.build_field(*field_key)
-    monic = [m for n in range(fq.deg(p)) for m in fq.enumerate_monic(F, n)]
-    table = {fq.pscale(F, m, c): -1 for m in monic for c in range(1, F.q)}
-    square_units = [u for u in range(1, F.q) if F.chi2[u] == 1]
-    for m in monic:
-        s = fq.pmod(F, fq.pmul(F, m, m), p)
-        for u in square_units:
-            table[fq.pscale(F, s, u)] = 1
-    table[fq.P_ZERO] = 0
-    return table
-
-
 def prime_symbol(F: FqField, top, p) -> int:
-    """chi_top(p) = (top/p); cached residue table for small primes, plain
-    Euclidean reduction otherwise."""
-    if F.q ** fq.deg(p) <= SYMBOL_TABLE_MAX_NORM:
-        r = fq.pmod(F, top, p)
-        return _residue_symbol_table((F.p, F.e), p)[r]
+    """chi_top(p) = (top/p) for monic irreducible p: the square class of
+    top at the root of a linear p, reciprocity (fq.kronecker) otherwise."""
+    if fq.deg(p) == 1:
+        return F.chi2[fq.peval(F, top, F.neg[p[0]])]
     return fq.kronecker(F, top, p)
-
-
-@lru_cache(maxsize=None)
-def _symbol_plan(field_key, n_max):
-    """Per-prime evaluation strategy: linear primes by root evaluation,
-    small primes by residue table, the rest by Euclidean reduction."""
-    F = fq.build_field(*field_key)
-    plan = []
-    for dp in range(1, n_max + 1):
-        for p in fq.irreducibles(F, dp):
-            if dp == 1:
-                plan.append((p, dp, "root", F.neg[p[0]]))
-            elif F.q ** dp <= SYMBOL_TABLE_MAX_NORM:
-                plan.append((p, dp, "table", _residue_symbol_table(field_key, p)))
-            else:
-                plan.append((p, dp, "euclid", None))
-    return tuple(plan)
 
 
 def coeff_sums(F: FqField, top, n_max: int, skip=()):
@@ -78,19 +38,8 @@ def coeff_sums(F: FqField, top, n_max: int, skip=()):
     <= n_max from the per-prime symbol values.
     """
     skipset = set(skip)
-    chi2 = F.chi2
-    factors = []
-    for p, dp, kind, data in _symbol_plan((F.p, F.e), n_max):
-        if p in skipset:
-            continue
-        if kind == "root":
-            s = chi2[fq.peval(F, top, data)]
-        elif kind == "table":
-            s = data[fq.pmod(F, top, p)]
-        else:
-            s = fq.kronecker(F, top, p)
-        if s:
-            factors.append((dp, s))
+    factors = [(dp, s) for dp in range(1, n_max + 1) for p in fq.irreducibles(F, dp)
+               if p not in skipset and (s := prime_symbol(F, top, p))]
     return euler_coeffs(n_max, factors)
 
 
@@ -135,16 +84,11 @@ class LPolynomial:
     1/(1 - q**(1-s)), 'minus' for 1/(1 + q**(1-s)).
     """
 
-    def __init__(self, F: FqField, unit: int, b0, coeffs, special=None):
+    def __init__(self, F: FqField, D: int, coeffs, special=None):
         self.F = F
-        self.unit = unit
-        self.b0 = b0
+        self.conductor_degree = D
         self.coeffs = list(coeffs)
         self.special = special
-        D = fq.deg(b0)
-        self.conductor_degree = D
-        # genus bookkeeping: 2g = D-1 (odd D) or D-2 (even D), non-constant b0
-        self.two_g = 0 if D <= 0 else (D - 1 if D % 2 else D - 2)
 
     def central_parts(self):
         """Integers (A, B, k) with L(q**(-1/2)) = (A + B*sqrt q) / q**k and
@@ -213,32 +157,22 @@ def _fe_complete(F: FqField, sgn: int, D: int, lower):
     return c
 
 
-def l_polynomial(F: FqField, b0, unit: int = 1, mode: str = "fe_completed") -> LPolynomial:
-    """Build L(s, chi_{unit*b0}) for monic square-free b0.
-
-    mode 'full' sums characters for every coefficient; 'fe_completed'
-    computes the lower half by summation and completes with the functional
-    equation.  Constant b0 yields the tagged special values.
+def l_polynomial(F: FqField, b0, unit: int = 1) -> LPolynomial:
+    """Build L(s, chi_{unit*b0}) for monic square-free b0: the lower half of
+    the coefficients by summation, the rest by the functional equation.
+    Constant b0 yields the tagged special values.
     """
     if not b0:
         raise ValueError("zero conductor")
     D = fq.deg(b0)
     if D == 0:
-        return LPolynomial(F, unit, b0, [], special="zeta" if F.chi2[unit] == 1 else "minus")
+        return LPolynomial(F, D, [], special="zeta" if F.chi2[unit] == 1 else "minus")
     if not fq.is_monic(b0):
         raise ValueError("conductor must be unit * monic")
     if not fq.is_squarefree(F, b0):
         raise ValueError("conductor must be square-free")
-    top = fq.pscale(F, b0, unit)
-    deg_l = D - 1
-    if mode == "full":
-        coeffs = coeff_sums(F, top, deg_l)
-    elif mode == "fe_completed":
-        lower = coeff_sums(F, top, fe_lower_degree(D))
-        coeffs = _fe_complete(F, F.chi2[unit], D, lower)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return LPolynomial(F, unit, b0, coeffs)
+    lower = coeff_sums(F, fq.pscale(F, b0, unit), fe_lower_degree(D))
+    return LPolynomial(F, D, _fe_complete(F, F.chi2[unit], D, lower))
 
 
 def central_value(F: FqField, b0, unit: int = 1) -> QuadValue:
@@ -268,7 +202,28 @@ def l_nonsquare_half(q: int) -> QuadValue:
 # P | c.  The d0 are indexed as in fq.monic_by_index, idx = lo + q**L * hi,
 # and d0 mod P is F_q-linear in the digits of idx: the sum of a residue read
 # off the low digits and one read off the high digits.  Residues of degree
-# < k are coded by their base-q coefficient index.
+# < k are coded by their base-q coefficient index, and (d0/P) is read from
+# P's symbol row at that code: the engine's only symbol table.  Symbols
+# outside the engine come from prime_symbol.
+
+@lru_cache(maxsize=None)
+def _residue_symbol_table(field_key, p):
+    """(r/p) for every residue r mod the irreducible p, indexed by the code
+    fq.coeff_index(F, r): 0 at r = 0, +1 at the nonzero squares, -1 at the
+    other residues.  Every nonzero square is (c*m)**2 = c**2 * m**2 with m
+    monic, so each monic m is squared once and m*m mod p is scaled by the
+    (q-1)/2 square units."""
+    F = fq.build_field(*field_key)
+    table = [-1] * F.q ** fq.deg(p)
+    table[0] = 0
+    square_units = [u for u in range(1, F.q) if F.chi2[u] == 1]
+    for n in range(fq.deg(p)):
+        for m in fq.enumerate_monic(F, n):
+            s = fq.pmod(F, fq.pmul(F, m, m), p)
+            for u in square_units:
+                table[fq.coeff_index(F, fq.pscale(F, s, u))] = 1
+    return tuple(table)
+
 
 @lru_cache(maxsize=None)
 def _code_add_table(field_key, k):
@@ -316,13 +271,11 @@ def _class_plan(field_key, a, c, unit):
         plus, minus = weight, weight * (len(primes) + 1)
         weight = minus * (len(primes) + 1)
         for p in primes:
-            s_p = F.chi2[unit] ** k * fq.kronecker(F, c, p)
+            s_p = F.chi2[unit] ** k * prime_symbol(F, c, p)
             if not s_p:
                 continue
             by_symbol = {0: 0, s_p: plus, -s_p: minus}
-            table = _residue_symbol_table(field_key, p)
-            wsym = [by_symbol[table[fq.trim(fq.monic_by_index(F, k, r)[:-1])]]
-                    for r in range(q ** k)]
+            wsym = [by_symbol[s] for s in _residue_symbol_table(field_key, p)]
             # steps[i][u]: the code of u * x**i mod p
             steps = []
             for i in range(a + 1):

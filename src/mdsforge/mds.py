@@ -95,15 +95,15 @@ def pl_center_value(l: int, degp: int, sign: int, q: int) -> QuadValue:
                QuadValue(q, 0, 0))
 
 
-def pd_value(F: FqField, d0, d1, char_unit: int, char_monics) -> QuadValue:
+def pd_value(F: FqField, d0, d1, top) -> QuadValue:
     """The central-point value of the Dirichlet polynomial attached to
-    d = d0*d1**2 for the character with the given top data."""
+    d = d0*d1**2 for the character chi_top."""
     q = F.q
     out = QuadValue(q, 1, 0)
     for p, mult in fq.factor(F, d1)[1]:
         dp = fq.deg(p)
         if fq.pmod(F, d0, p):
-            s = chi(F, char_unit, char_monics, p)
+            s = lseries.prime_symbol(F, top, p)
             if s == 0:
                 raise ArithmeticError("even-exponent prime meets the conductor")
             out = out * pl_center_value(2 * mult, dp, s, q)
@@ -303,7 +303,7 @@ def zc_buckets_vers1(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
                 if mult < 2:
                     continue
                 dp = fq.deg(p)
-                s = 1 if mult % 2 else chi(F, tw.a1, (tw.c1, d0), p)
+                s = 1 if mult % 2 else lseries.prime_symbol(F, top, p)
                 if s == 0:
                     raise ArithmeticError("unexpected character degeneration")
                 pd = _poly3_mul(pd, _correction_at_prime(mult, dp, F.q ** dp, s), m_total)
@@ -358,7 +358,7 @@ class _CentralContext:
     def symbol(self, odd, p) -> int:
         s = self._symbols.get((odd, p))
         if s is None:
-            s = fq.kronecker(self.F, self.top(odd)[1], p)
+            s = lseries.prime_symbol(self.F, self.top(odd)[1], p)
             if s == 0:
                 raise ArithmeticError("central character degenerates")
             self._symbols[(odd, p)] = s
@@ -469,7 +469,8 @@ def zc_t4_series(F: FqField, tw: TwistSpec, n_max: int):
         for d0, key in zip(fq.enumerate_monic(F, a, "squarefree"), keys):
             if not all(fq.pmod(F, d0, p) for p in tw.c_primes):
                 continue
-            signs = tuple(chi(F, tw.a1, (tw.c1, d0), p) for p in skip)
+            top = fq.pscale(F, fq.pmul(F, tw.c1, d0), tw.a1)
+            signs = tuple(lseries.prime_symbol(F, top, p) for p in skip)
             lcube = cubes.get((key, signs))
             if lcube is None:
                 lval = values[key]
@@ -479,7 +480,7 @@ def zc_t4_series(F: FqField, tw: TwistSpec, n_max: int):
             base = lcube * chi(F, tw.a2, (tw.c2,), d0)
             for b in range((n_max - a) // 2 + 1):
                 for d1 in d1_rows[b]:
-                    out[a + 2 * b] = out[a + 2 * b] + base * pd_value(F, d0, d1, tw.a1, (tw.c1, d0))
+                    out[a + 2 * b] = out[a + 2 * b] + base * pd_value(F, d0, d1, top)
     return out
 
 
@@ -499,7 +500,7 @@ def sieved_t4_series(F: FqField, h, a2: int, n_max: int):
             d1s = [fq.pmul(F, h, e) for e in fq.enumerate_monic(F, e_deg)]
             for d0, key in zip(fq.enumerate_monic(F, a, "squarefree"), keys):
                 for d1 in d1s:
-                    out[n] = out[n] + cubes[key] * pd_value(F, d0, d1, 1, (d0,))
+                    out[n] = out[n] + cubes[key] * pd_value(F, d0, d1, d0)
     return out
 
 

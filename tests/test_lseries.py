@@ -53,8 +53,23 @@ def test_residue_symbol_tables_match_kronecker(F, deg_max):
         for p in fq.irreducibles(F, d):
             table = lseries._residue_symbol_table((F.p, F.e), p)
             assert len(table) == F.q ** d
-            for r, s in table.items():
+            for code, s in enumerate(table):
+                r = fq.trim(fq.monic_by_index(F, d, code)[:-1])
                 assert s == fq.kronecker(F, r, p)
+
+
+@pytest.mark.parametrize("F,deg_max", [(F5, 4), (F9, 2)], ids=["q5", "q9"])
+def test_prime_symbol_matches_factored_oracle(F, deg_max):
+    # linear primes take the root branch, the others reciprocity; the tops
+    # include non-monic ones, constants, and multiples of p (symbol 0)
+    rng = random.Random(20)
+    tops = [fq.P_ONE, (F.nonsquare_unit,), (0, 1), (1, 1, 0, 1)]
+    tops += [tuple(rng.randrange(F.q) for _ in range(n)) + (rng.randrange(1, F.q),)
+             for n in (1, 2, 3, 5, 7)]
+    for d in range(1, deg_max + 1):
+        for p in fq.irreducibles(F, d):
+            for top in tops + [p, fq.pscale(F, fq.pmul(F, p, (2, 1)), F.nonsquare_unit)]:
+                assert lseries.prime_symbol(F, top, p) == fq.kronecker_factored(F, top, p), (p, top)
 
 
 @pytest.mark.parametrize("F,deg_cap", [(F5, 5), (F9, 3)], ids=["q5", "q9"])
@@ -63,8 +78,8 @@ def test_full_vs_completed_exhaustive(F, deg_cap):
     for D in range(1, deg_cap + 1):
         for d0 in fq.enumerate_monic(F, D, "squarefree"):
             for unit in (1, F.nonsquare_unit):
-                full = lseries.l_polynomial(F, d0, unit, "full").coeffs
-                L = lseries.l_polynomial(F, d0, unit, "fe_completed")
+                full = lseries.coeff_sums(F, fq.pscale(F, d0, unit), D - 1)
+                L = lseries.l_polynomial(F, d0, unit)
                 assert full == L.coeffs, (d0, unit)
                 # the integer central parts against the direct sum
                 # c_n q^(-n/2), kept as two rational coordinates (also at
@@ -88,9 +103,7 @@ def test_full_vs_completed_sampled_high_degree():
             d0 = fq.monic_by_index(F5, D, rng.randrange(5 ** D))
             if not fq.is_squarefree(F5, d0):
                 continue
-            full = lseries.l_polynomial(F5, d0, 1, "full").coeffs
-            fe = lseries.l_polynomial(F5, d0, 1, "fe_completed").coeffs
-            assert full == fe, d0
+            assert lseries.coeff_sums(F5, d0, D - 1) == lseries.l_polynomial(F5, d0).coeffs, d0
             done += 1
 
 
@@ -102,8 +115,8 @@ def test_fe_complete_rejects_non_integral_result():
 
 def test_unit_twist_flips_odd_coefficients():
     d0 = (1, 1, 0, 1)
-    base = lseries.l_polynomial(F5, d0, 1, "full").coeffs
-    tw = lseries.l_polynomial(F5, d0, F5.nonsquare_unit, "full").coeffs
+    base = lseries.coeff_sums(F5, d0, 3)
+    tw = lseries.coeff_sums(F5, fq.pscale(F5, d0, F5.nonsquare_unit), 3)
     assert tw == [(-1) ** n * c for n, c in enumerate(base)]
 
 

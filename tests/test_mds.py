@@ -164,10 +164,10 @@ def _zc_t4_series_per_d0(F, tw, n_max):
                 s = mds.chi(F, tw.a1, (tw.c1, d0), p)
                 lval = lval * (1 - d4._qpow_half(q, -fq.deg(p)) * s)
             base = lval ** 3 * mds.chi(F, tw.a2, (tw.c2,), d0)
+            top = fq.pscale(F, fq.pmul(F, tw.c1, d0), tw.a1)
             for b in range((n_max - a) // 2 + 1):
                 for d1 in d1_rows[b]:
-                    out[a + 2 * b] = out[a + 2 * b] + base * mds.pd_value(
-                        F, d0, d1, tw.a1, (tw.c1, d0))
+                    out[a + 2 * b] = out[a + 2 * b] + base * mds.pd_value(F, d0, d1, top)
     return out
 
 
@@ -227,10 +227,10 @@ def test_gamma_table_rows_and_count():
 
 def test_pd_values():
     # square-free d: every factor is the trivial extraction
-    assert mds.pd_value(F5, (2, 3, 1), fq.P_ONE, 1, ((2, 3, 1),)) == QuadValue(5, 1, 0)
+    assert mds.pd_value(F5, (2, 3, 1), fq.P_ONE, (2, 3, 1)) == QuadValue(5, 1, 0)
     # d = p^2 gives the single even-layer factor
     p = X
-    val = mds.pd_value(F5, fq.P_ONE, p, 1, (fq.P_ONE,))
+    val = mds.pd_value(F5, fq.P_ONE, p, fq.P_ONE)
     s = fq.kronecker(F5, fq.P_ONE, p)
     assert val == mds.pl_center_value(2, 1, s, 5)
 

@@ -15,15 +15,28 @@ F9 = fq.build_field(3, 2)
 F13 = fq.build_field(13)
 
 
-def _per_conductor_moment(F, D, mode="fe_completed"):
+def _per_conductor_moment(F, D, full=False):
     """Oracle: S(D) as one L-polynomial per square-free conductor, each
-    tested with the gcd criterion."""
+    tested with the gcd criterion; ``full`` sums every coefficient instead
+    of completing by the functional equation."""
     total = QuadValue(F.q)
     for idx in range(F.q ** D):
         d0 = fq.monic_by_index(F, D, idx)
-        if fq.is_squarefree(F, d0):
-            total = total + lseries.l_polynomial(F, d0, 1, mode).central_value() ** 3
+        if not fq.is_squarefree(F, d0):
+            continue
+        if full and D:
+            a, b, k = lseries.central_parts(F.q, D, lseries.coeff_sums(F, d0, D - 1))
+            value = QuadValue(F.q, a, b, F.q ** k)
+        else:
+            value = lseries.central_value(F, d0)
+        total = total + value ** 3
     return total
+
+
+def _clear_lseries_caches():
+    for fn in vars(lseries).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
 
 
 def test_moment_boundary_values():
@@ -42,7 +55,7 @@ def test_moment_matches_direct_sum():
     # the slow way, with every coefficient of every L-polynomial summed
     for F, degrees in ((F5, (2, 3, 4)), (F9, (0, 1, 2, 3))):
         for D in degrees:
-            assert _per_conductor_moment(F, D, "full") == moments.moment_sum(F, D), (F.q, D)
+            assert _per_conductor_moment(F, D, full=True) == moments.moment_sum(F, D), (F.q, D)
 
 
 def test_class_fill_matches_per_conductor_oracle():
@@ -69,24 +82,26 @@ def test_planted_defects_change_the_moment(monkeypatch):
     assert moments.moment_sum(F, D) != oracle
     monkeypatch.undo()
 
-    # one residue symbol of one prime flipped
+    # the symbol of the residue 1 (code 1) in one degree-2 prime's row
+    # flipped: the class engine reads the row, the per-conductor oracle
+    # computes its symbols without it
     table = lseries._residue_symbol_table
     target = fq.irreducibles(F, 2)[0]
 
     def flipped(field_key, p):
         out = table(field_key, p)
         if p == target:
-            out = dict(out)
-            out[fq.P_ONE] = -out[fq.P_ONE]
+            out = out[:1] + (-out[1],) + out[2:]
         return out
 
-    lseries._class_plan.cache_clear()
+    _clear_lseries_caches()
     monkeypatch.setattr(lseries, "_residue_symbol_table", flipped)
     try:
         assert moments.moment_sum(F, D) != oracle
+        assert _per_conductor_moment(F, D) == oracle
     finally:
-        lseries._class_plan.cache_clear()
-    monkeypatch.undo()
+        monkeypatch.undo()
+        _clear_lseries_caches()
     assert moments.moment_sum(F, D) == oracle
 
 

@@ -65,6 +65,25 @@ def test_every_definition_is_referenced():
     assert not stale, stale
 
 
+def test_one_quadratic_symbol_path():
+    # a symbol at a prime comes from lseries.prime_symbol alone; fq.kronecker
+    # is otherwise used for composite moduli (mds.chi) and by the
+    # enumeration oracle
+    users = set()
+    for path, tree in _trees(pathlib.Path(mdsforge.__file__).parent):
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            name = node.name if isinstance(node, ast.alias) else getattr(
+                node, "attr", getattr(node, "id", None))
+            if name != "kronecker":
+                continue
+            inner = max((fn for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno),
+                        key=lambda fn: fn.lineno, default=None)
+            users.add(f"{path.stem}.{inner.name if inner else '<module>'}")
+    assert users == {"lseries.prime_symbol", "mds.chi", "lseries.coeff_sums_direct"}, users
+
+
 def test_towers_do_no_fraction_arithmetic():
     # QuadValue and QuarticValue compute on integer numerators over one
     # denominator; a Fraction is built only where a coordinate is read
