@@ -39,15 +39,14 @@ def explicit_f() -> RationalFunction:
 @lru_cache(maxsize=None)
 def f_series_total(cutoff: int = 10) -> TruncSeries:
     """Expansion of f to total degree ``cutoff`` (houses the a-table)."""
-    return expand(explicit_f(), cutoff, provenance=f"f total<={cutoff}")
+    return expand(explicit_f(), cutoff)
 
 
 @lru_cache(maxsize=None)
 def f_series_capped(cap_outer: int = 12, cap_center: int = 10) -> TruncSeries:
     """Expansion with per-variable caps (outer z1..z3, central z4)."""
     caps = (cap_outer, cap_outer, cap_outer, cap_center)
-    return expand(explicit_f(), 3 * cap_outer + cap_center, caps,
-                  provenance=f"f caps={caps}")
+    return expand(explicit_f(), 3 * cap_outer + cap_center, caps)
 
 
 DEFAULT_CUTOFF = 10
@@ -183,7 +182,7 @@ def check_pq_functional_eqs(l_max: int = 8, k_max: int = 8):
 def reconstruct_from_p(cutoff: int = 10) -> TruncSeries:
     """Resum the outer correction polynomials against the geometric prefactor
     and compare with the direct expansion (exact to the cutoff)."""
-    base = TruncSeries(4, cutoff, provenance="p-reconstruction")
+    base = TruncSeries(4, cutoff)
     acc = base.clone_empty()
     for l in range(cutoff + 1):
         P = p_poly(l)
@@ -204,7 +203,7 @@ def reconstruct_from_q(cutoff: int = 10) -> TruncSeries:
     # the |k| = cutoff slices have central degree up to the cutoff, so give
     # the central direction the same 2-layer margin the outer one gets
     cap_center = cutoff + 2
-    base = TruncSeries(4, cutoff, provenance="q-reconstruction")
+    base = TruncSeries(4, cutoff)
     acc = base.clone_empty()
     for k1 in range(cutoff + 1):
         for k2 in range(cutoff + 1 - k1):
@@ -263,7 +262,7 @@ def specialized_odd_closed(n_max: int) -> TruncSeries:
                                   for j, c in enumerate(ODD_NUM_COEFFS)))
     den = [MultiPoly.const(1, 1) - MultiPoly.monomial(1, (2,), PP_ONE)] * 7
     den.append(MultiPoly.const(1, 1) - MultiPoly.monomial(1, (4,), ParamPoly.q_power(1)))
-    return expand(RationalFunction(num, den), n_max, provenance="odd centre closed form")
+    return expand(RationalFunction(num, den), n_max)
 
 
 def specialized_even_closed(sign: int, n_max: int) -> TruncSeries:
@@ -276,7 +275,7 @@ def specialized_even_closed(sign: int, n_max: int) -> TruncSeries:
                                   for j, tab in even_num_coeffs(sign).items()))
     den = [MultiPoly.const(1, 1) - MultiPoly.monomial(1, (2,), PP_ONE)] * 7
     den.append(MultiPoly.const(1, 1) - MultiPoly.monomial(1, (4,), ParamPoly.q_power(1)))
-    return expand(RationalFunction(num, den), n_max, provenance="even centre closed form")
+    return expand(RationalFunction(num, den), n_max)
 
 
 def specialize_center_series(parity: str, sign: int, n_max: int,
@@ -290,7 +289,7 @@ def specialize_center_series(parity: str, sign: int, n_max: int,
     which is exactly what specialized_even_closed produces.
     """
     n_max = min(n_max, cap_center)
-    out = TruncSeries(1, n_max, provenance=f"centre specialization {parity}{sign:+d}")
+    out = TruncSeries(1, n_max)
     want = 1 if parity == "odd" else 0
     for l in range(n_max + 1):
         if l % 2 != want:

@@ -1,10 +1,11 @@
 """Finite fields F_q with q = p**e = 1 (mod 4), and F_q[x] arithmetic.
 
 Field elements are ints in 0..q-1.  For prime fields the int is the residue;
-for extension fields it encodes the coefficient vector of F_p[y]/(modulus)
-in base p, constant digit least significant.  Polynomials over F_q are
-tuples of element codes, constant term first, no trailing zeros; () is the
-zero polynomial.
+for extension fields F_{p^e} = F_p[y]/(P) it is coeff_index of the residue
+over F_p, built with the same polynomial functions: its coefficients in
+base p, constant digit least significant.  Polynomials over F_q are tuples
+of element codes, constant term first, no trailing zeros; () is the zero
+polynomial.
 
 The quadratic symbol is computed by reciprocity-based Euclidean reduction
 (q = 1 mod 4 keeps the law sign-free); the factorization-based definition
@@ -26,6 +27,35 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class _FieldTables:
+    """A finite field as the tables that the polynomial functions below read:
+    its order q, the product and sum tables, negation and inversion."""
+
+    def __init__(self, q: int, mul, addtab):
+        self.q = q
+        self.mul = mul
+        self.addtab = addtab
+        self.neg = [row.index(0) for row in addtab]
+        self.inv = [0] + [mul[a].index(1) for a in range(1, q)]
+
+
+def _extension_tables(Fp: _FieldTables, e: int) -> _FieldTables:
+    """F_{p^e} = F_p[y]/(P), P the first monic of degree e in monic_by_index
+    order with no monic divisor of degree 1..e/2; an element's code is
+    coeff_index of its reduced residue."""
+    p = Fp.q
+    modulus = next(
+        m for m in (monic_by_index(Fp, e, i) for i in range(p ** e))
+        if all(pmod(Fp, m, monic_by_index(Fp, k, j))
+               for k in range(1, e // 2 + 1) for j in range(p ** k)))
+    digits = [monic_by_index(Fp, e, a)[:-1] for a in range(p ** e)]
+    mul = [[coeff_index(Fp, pmod(Fp, pmul(Fp, a, b), modulus)) for b in digits]
+           for a in digits]
+    addtab = [[coeff_index(Fp, [Fp.addtab[x][y] for x, y in zip(a, b)]) for b in digits]
+              for a in digits]
+    return _FieldTables(p ** e, mul, addtab)
+
+
 class FqField:
     """F_q with precomputed tables; create via build_field(p, e)."""
 
@@ -42,154 +72,18 @@ class FqField:
         self.p = p
         self.e = e
         self.q = q
-        self.modulus = self._lex_min_irreducible() if e > 1 else None
-        self._build_tables()
-        self.nonsquare_unit = next(a for a in range(1, q) if not self.is_square[a])
-        if self.pow_el(self.nonsquare_unit, (q - 1) // 2) != self.neg[1]:
-            raise ArithmeticError("the non-square unit fails Euler's criterion")
-
-    # -- construction helpers -------------------------------------------
-    def _poly_p_mul_mod(self, a, b, mod):
-        """Multiply coefficient vectors over F_p modulo the vector `mod`."""
-        p = self.p
-        res = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] = (res[i + j] + ai * bj) % p
-        # reduce by monic mod
-        dm = len(mod) - 1
-        while len(res) - 1 >= dm:
-            lead = res[-1]
-            if lead:
-                off = len(res) - 1 - dm
-                for k in range(dm + 1):
-                    res[off + k] = (res[off + k] - lead * mod[k]) % p
-            res.pop()
-        while res and res[-1] == 0:
-            res.pop()
-        return res
-
-    def _is_irreducible_p(self, mod) -> bool:
-        """Rabin test for a monic coefficient vector over F_p."""
-        p = self.p
-        e = len(mod) - 1
-        # x^(p^k) mod `mod` via repeated Frobenius
-        def powmod_x(exp_steps):
-            cur = [0, 1]
-            for _ in range(exp_steps):
-                # raise to the p-th power: repeated squaring on exponent p
-                acc = [1]
-                base = cur
-                n = p
-                while n:
-                    if n & 1:
-                        acc = self._poly_p_mul_mod(acc, base, mod)
-                    base = self._poly_p_mul_mod(base, base, mod)
-                    n >>= 1
-                cur = acc
-            return cur
-
-        xq = powmod_x(e)
-        if xq != [0, 1]:
-            return False
-        for r in {d for d in range(1, e) if e % d == 0}:
-            xr = powmod_x(r)
-            diff = list(xr)
-            while len(diff) < 2:
-                diff.append(0)
-            diff[1] = (diff[1] - 1) % p
-            while diff and diff[-1] == 0:
-                diff.pop()
-            # gcd(x^(p^r) - x, mod) must be 1
-            a, b = mod[:], diff
-            while b:
-                # a mod b over F_p
-                a = a[:]
-                db = len(b) - 1
-                inv = pow(b[-1], p - 2, p)
-                while len(a) - 1 >= db and a:
-                    lead = a[-1]
-                    if lead:
-                        c = lead * inv % p
-                        off = len(a) - 1 - db
-                        for k in range(db + 1):
-                            a[off + k] = (a[off + k] - c * b[k]) % p
-                    a.pop()
-                    while a and a[-1] == 0:
-                        a.pop()
-                a, b = b, a
-            if len(a) != 1:
-                return False
-        return True
-
-    def _lex_min_irreducible(self):
-        """Smallest monic irreducible of degree e over F_p, ordered by the
-        base-p encoding of (c_0, ..., c_{e-1}) with c_0 least significant."""
-        p, e = self.p, self.e
-        for code in range(p ** e):
-            coeffs = []
-            c = code
-            for _ in range(e):
-                coeffs.append(c % p)
-                c //= p
-            mod = coeffs + [1]
-            if self._is_irreducible_p(mod):
-                return tuple(mod)
-        raise RuntimeError("no irreducible modulus found")  # unreachable
-
-    def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self.mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-        else:
-            mod = list(self.modulus)
-
-            def decode(code):
-                v = []
-                for _ in range(e):
-                    v.append(code % p)
-                    code //= p
-                return v
-
-            def encode(vec):
-                code = 0
-                for c in reversed(vec):
-                    code = code * p + c
-                return code
-
-            self.mul = [[0] * q for _ in range(q)]
-            vecs = [decode(c) for c in range(q)]
-            for a in range(q):
-                for b in range(a, q):
-                    prod = self._poly_p_mul_mod(vecs[a], vecs[b], mod)
-                    code = encode(prod + [0] * (e - len(prod)))
-                    self.mul[a][b] = code
-                    self.mul[b][a] = code
-            self._decode = decode
-            self._encode = encode
-        # addition
-        if e == 1:
-            self.addtab = [[(a + b) % p for b in range(q)] for a in range(q)]
-        else:
-            def addc(a, b):
-                va = self._decode(a)
-                vb = self._decode(b)
-                return self._encode([(x + y) % p for x, y in zip(va, vb)])
-            self.addtab = [[addc(a, b) for b in range(q)] for a in range(q)]
-        self.neg = [self.addtab[0][0]] * q
-        for a in range(q):
-            row = self.addtab[a]
-            self.neg[a] = next(b for b in range(q) if row[b] == 0)
-        self.inv = [0] * q
-        for a in range(1, q):
-            self.inv[a] = next(b for b in range(1, q) if self.mul[a][b] == 1)
+        Fp = _FieldTables(p, [[a * b % p for b in range(p)] for a in range(p)],
+                          [[(a + b) % p for b in range(p)] for a in range(p)])
+        tables = Fp if e == 1 else _extension_tables(Fp, e)
+        self.mul, self.addtab = tables.mul, tables.addtab
+        self.neg, self.inv = tables.neg, tables.inv
         squares = {self.mul[a][a] for a in range(1, q)}
         self.is_square = [a in squares for a in range(q)]
         # quadratic character on F_q (0 on 0)
-        self.chi2 = [0] * q
-        for a in range(1, q):
-            self.chi2[a] = 1 if self.is_square[a] else -1
+        self.chi2 = [0] + [1 if self.is_square[a] else -1 for a in range(1, q)]
+        self.nonsquare_unit = next(a for a in range(1, q) if not self.is_square[a])
+        if self.pow_el(self.nonsquare_unit, (q - 1) // 2) != self.neg[1]:
+            raise ArithmeticError("the non-square unit fails Euler's criterion")
 
     # -- element ops -----------------------------------------------------
     def pow_el(self, a, n):

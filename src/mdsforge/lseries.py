@@ -371,7 +371,7 @@ def check_weil(F: FqField, b0, tol: float = 1e-9):
     For even conductor degree the polynomial carries one unit root (at +1 or
     -1), which is peeled off exactly before the modulus test.
     """
-    import numpy as np
+    import mpmath
     D = fq.deg(b0)
     L = l_polynomial(F, b0)
     coeffs = list(L.coeffs)
@@ -394,8 +394,9 @@ def check_weil(F: FqField, b0, tol: float = 1e-9):
             return {"vacuous": False, "error": "no unit root found for even degree"}
     if len(coeffs) <= 1:
         return {"vacuous": True}
-    roots = np.roots(coeffs[::-1])
-    target = F.q ** -0.5
-    devs = [abs(abs(r) - target) for r in roots]
+    # the extra precision resolves repeated roots such as those of (1 + q u^2)^2
+    roots = mpmath.polyroots(coeffs[::-1], extraprec=60)
+    target = mpmath.mpf(F.q) ** -0.5
+    devs = [float(abs(abs(r) - target)) for r in roots]
     return {"vacuous": False, "max_deviation": max(devs), "tol": tol,
             "ok": max(devs) < tol, "count": len(roots)}

@@ -192,38 +192,25 @@ def _tuple_sum_for_d(F: FqField, ctx: "_BruteForceContext", dprof,
     """sum over (m1, m2, m3) of chi(hat m1) chi(hat m2) chi(hat m3) * A(m, d)
     as a dict (n1, n2, n3) -> int, for one fixed d.
 
-    The A-coefficient is 1 on tuples coprime to d, so the sum splits into
-    per-slot character sums plus small corrections indexed by which slots
-    meet a prime of d.
+    A(m, d) depends only on the multiplicity vectors of m1, m2, m3 at the
+    primes of d, so each slot's character sum is first grouped by that
+    vector; a(0, 0, 0, l) = 1 makes A = 1 on tuples coprime to d.
     """
-    qpow = [F.q ** k for k in range(m_budget + 16)]
-    dplist = [(p, l, qpow[fq.deg(p)]) for p, l in dprof]
-    dset = [p for p, _ in dprof]
-    # per-degree: plain character sums over m coprime to d, and the
-    # exceptional lists (chi, exponent-vector at the primes of d)
-    plain = [0] * (m_budget + 1)
-    extra = [[] for _ in range(m_budget + 1)]
+    dplist = [(l, F.q ** fq.deg(p)) for p, l in dprof]
+    sums = []
     for n in range(m_budget + 1):
+        by_vec = {}
         for m, prof in profiles[n]:
             h = ctx.chi_hat(prof)
-            if h == 0:
-                continue
-            vec = None
-            if dset:
+            if h:
                 pd = dict(prof)
-                raw = tuple(pd.get(p, 0) for p in dset)
-                if any(raw):
-                    vec = raw
-            if vec is None:
-                plain[n] += h
-            else:
-                extra[n].append((h, vec))
-
-    zerovec = tuple(0 for _ in dset)
+                vec = tuple(pd.get(p, 0) for p, _ in dprof)
+                by_vec[vec] = by_vec.get(vec, 0) + h
+        sums.append([(v, s) for v, s in by_vec.items() if s])
 
     def a_of(v1, v2, v3):
         aa = 1
-        for (p, l, qp), k1, k2, k3 in zip(dplist, v1, v2, v3):
+        for (l, qp), k1, k2, k3 in zip(dplist, v1, v2, v3):
             aa *= a_eval(k1, k2, k3, l, qp)
             if aa == 0:
                 return 0
@@ -233,29 +220,9 @@ def _tuple_sum_for_d(F: FqField, ctx: "_BruteForceContext", dprof,
     for n1 in range(m_budget + 1):
         for n2 in range(m_budget + 1 - n1):
             for n3 in range(m_budget + 1 - n1 - n2):
-                total = plain[n1] * plain[n2] * plain[n3]
-                # one slot exceptional
-                for h1, v1 in extra[n1]:
-                    total += h1 * a_of(v1, zerovec, zerovec) * plain[n2] * plain[n3]
-                for h2, v2 in extra[n2]:
-                    total += h2 * a_of(zerovec, v2, zerovec) * plain[n1] * plain[n3]
-                for h3, v3 in extra[n3]:
-                    total += h3 * a_of(zerovec, zerovec, v3) * plain[n1] * plain[n2]
-                # two slots exceptional
-                for h1, v1 in extra[n1]:
-                    for h2, v2 in extra[n2]:
-                        total += h1 * h2 * a_of(v1, v2, zerovec) * plain[n3]
-                for h1, v1 in extra[n1]:
-                    for h3, v3 in extra[n3]:
-                        total += h1 * h3 * a_of(v1, zerovec, v3) * plain[n2]
-                for h2, v2 in extra[n2]:
-                    for h3, v3 in extra[n3]:
-                        total += h2 * h3 * a_of(zerovec, v2, v3) * plain[n1]
-                # all three exceptional
-                for h1, v1 in extra[n1]:
-                    for h2, v2 in extra[n2]:
-                        for h3, v3 in extra[n3]:
-                            total += h1 * h2 * h3 * a_of(v1, v2, v3)
+                total = sum(s1 * s2 * s3 * a_of(v1, v2, v3)
+                            for v1, s1 in sums[n1] for v2, s2 in sums[n2]
+                            for v3, s3 in sums[n3])
                 if total:
                     out[(n1, n2, n3)] = total
     return out
@@ -605,21 +572,14 @@ def _twist_splits(F: FqField, h, a2: int):
     the twist (c1, c2, c3) with units (1, a2), the sign chi_{a2 c2}(c1), the
     primes of c1 and the (prime, bit) pairs of the others."""
     h_primes = [p for p, _ in fq.factor(F, h)[1]]
-
-    def prod(primes):
-        out = fq.P_ONE
-        for p in primes:
-            out = fq.pmul(F, out, p)
-        return out
-
     for r in range(len(h_primes) + 1):
         for c_set in itertools.combinations(h_primes, r):
             cp_primes = [p for p in h_primes if p not in c_set]
             for eps_bits in itertools.product((0, 1), repeat=len(cp_primes)):
                 cp_bits = tuple(zip(cp_primes, eps_bits))
-                c_poly = prod(c_set)
-                c_eps = prod(p for p, bit in cp_bits if bit)
-                c3_poly = prod(p for p, bit in cp_bits if not bit)
+                c_poly = _product(F, c_set)
+                c_eps = _product(F, (p for p, bit in cp_bits if bit))
+                c3_poly = _product(F, (p for p, bit in cp_bits if not bit))
                 tw = TwistSpec(F, c1=c_poly, c2=c_eps, c3=c3_poly, a1=1, a2=a2)
                 yield tw, chi(F, a2, (c_eps,), c_poly), c_set, cp_bits
 

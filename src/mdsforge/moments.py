@@ -197,7 +197,6 @@ def secondary_term_report(F: FqField, D_max: int, cache_dir=None, workers: int =
         return {"declined": True,
                 "reason": "need at least degrees 0..3 to fit anything"}
     table = moment_table(F, D_max, cache_dir=cache_dir, workers=workers)
-    import numpy as np
     svals = [tower_float(table[D]).real for D in range(D_max + 1)]
 
     # growth: S(D) / (q^D (D+1)^6) should stay bounded (order-7 boundary pole)
@@ -218,15 +217,16 @@ def secondary_term_report(F: FqField, D_max: int, cache_dir=None, workers: int =
             row += [(-q) ** D * D ** k for k in range(degree + 1)]
             rows.append(row)
             rhs.append(target)
-        A = np.array(rows, dtype=float)
-        y = np.array(rhs, dtype=float)
         # normalize columns for conditioning
-        scale = np.max(np.abs(A), axis=0)
-        sol, res, rank, sv = np.linalg.lstsq(A / scale, y, rcond=None)
-        fitted = (A / scale) @ sol
-        resid = y - fitted
-        rel = float(np.max(np.abs(resid)) / max(np.max(np.abs(y)), 1.0))
-        cond = float(sv[0] / sv[-1]) if sv[-1] else float("inf")
+        scale = [max(abs(x) for x in col) for col in zip(*rows)]
+        with mpmath.workdps(30):
+            A = mpmath.matrix([[x / s for x, s in zip(row, scale)] for row in rows])
+            y = mpmath.matrix(rhs)
+            sol, _ = mpmath.qr_solve(A, y)
+            resid = y - A * sol
+            rel = float(max(abs(r) for r in resid) / max(max(abs(v) for v in y), 1.0))
+            sv = list(mpmath.svd_r(A, compute_uv=False))  # decreasing
+            cond = float(sv[0] / sv[-1]) if sv[-1] else float("inf")
         return {"degree": degree, "relative_max_residual": rel,
                 "condition_number": cond,
                 "subtract_secondary": subtract_secondary}

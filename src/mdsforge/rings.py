@@ -444,17 +444,16 @@ class TruncSeries:
     """Truncated power series over ParamPoly coefficients.
 
     ``total`` is the total-degree cutoff; ``caps`` an optional tuple of
-    per-variable caps.  ``provenance`` records what produced the series.
+    per-variable caps.
     """
 
-    __slots__ = ("n", "total", "caps", "terms", "provenance")
+    __slots__ = ("n", "total", "caps", "terms")
 
-    def __init__(self, n, total, caps=None, terms=None, provenance=""):
+    def __init__(self, n, total, caps=None, terms=None):
         self.n = n
         self.total = total
         self.caps = tuple(caps) if caps is not None else None
         self.terms = terms or {}
-        self.provenance = provenance
 
     def _keep(self, e) -> bool:
         if sum(e) > self.total:
@@ -464,13 +463,13 @@ class TruncSeries:
         return True
 
     @staticmethod
-    def from_poly(p: MultiPoly, total, caps=None, provenance=""):
-        s = TruncSeries(p.n, total, caps, provenance=provenance)
+    def from_poly(p: MultiPoly, total, caps=None):
+        s = TruncSeries(p.n, total, caps)
         s.terms = {e: c for e, c in p.terms.items() if s._keep(e)}
         return s
 
     def clone_empty(self):
-        return TruncSeries(self.n, self.total, self.caps, provenance=self.provenance)
+        return TruncSeries(self.n, self.total, self.caps)
 
     def __add__(self, other):
         r = self.clone_empty()
@@ -513,8 +512,7 @@ class TruncSeries:
 
     def truncate(self, total=None, caps=None):
         r = TruncSeries(self.n, self.total if total is None else total,
-                        self.caps if caps is None else caps,
-                        provenance=self.provenance)
+                        self.caps if caps is None else caps)
         r.terms = {e: c for e, c in self.terms.items() if r._keep(e)}
         return r
 
@@ -581,7 +579,7 @@ def _unit_factor_parts(f: MultiPoly):
     return c0, rest
 
 
-def expand(rf: RationalFunction, total, caps=None, provenance="expand") -> TruncSeries:
+def expand(rf: RationalFunction, total, caps=None) -> TruncSeries:
     """Taylor expansion of a rational function whose den factors are
     ``const * (1 - c*monomial)`` units.  Rejects denominators vanishing at 0.
 
@@ -592,7 +590,7 @@ def expand(rf: RationalFunction, total, caps=None, provenance="expand") -> Trunc
     work is over Z wherever the data are integral (as for the rank-4
     function); others stay Fractions.  ParamPoly is rebuilt once at the end.
     """
-    series = TruncSeries.from_poly(rf.num, total, caps, provenance=provenance)
+    series = TruncSeries.from_poly(rf.num, total, caps)
     terms = _exact_terms(series.terms)
     const = PP_ONE
     for f in rf.den:

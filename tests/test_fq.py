@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -16,6 +18,21 @@ def test_field_construction_constraints():
         fq.FqField(7, 1)
     assert fq.build_field(3, 2).q == 9  # 9 = 1 mod 4 accepted
     assert fq.build_field(13).q == 13
+
+
+@pytest.mark.parametrize("p, e, digest", [
+    (3, 2, "6ef4f29d572b5ef6fa83007cd14c6a3c754433299d7ecbdbfa21cbd572482eb3"),
+    (5, 2, "6e534489ec7d814cabda855e86d41964a44a80a14c591e255f048abfcc0440e3"),
+    (3, 4, "f6f6f6eaeb6d6ad40e2d1fb481fff28d9c6a74ef41016d1e7831461aa5984180"),
+    (7, 2, "9845882871e5aae4b286513ad3518d3881108d2efdae571cf063f53ff45c2f53"),
+    (13, 2, "cfb9fdddd68f008cd1c0abf4bc85cc88a6bbeb8c5d75aa60c09140495a956158"),
+])
+def test_extension_field_tables_pinned(p, e, digest):
+    # element codes are read by every cached and reported value over F_q:
+    # the modulus and the code order must not move
+    F = fq.FqField(p, e)
+    tables = json.dumps([F.mul, F.addtab]).encode()
+    assert hashlib.sha256(tables).hexdigest() == digest
 
 
 def test_nonsquare_unit_is_verified():

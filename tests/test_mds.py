@@ -204,6 +204,26 @@ def test_sieve_identity():
     assert rep["ok"]
 
 
+def test_sieve_identity_catches_planted_defects(monkeypatch):
+    # a wrong a-coefficient moves only the sieved side
+    a_eval = mds.a_eval
+    monkeypatch.setattr(mds, "a_eval", lambda k1, k2, k3, l, qp: a_eval(k1, k2, k3, l, qp)
+                        + ((k1, k2, k3, l) == (1, 0, 0, 1)))
+    assert not mds.check_sieve_identity(F5, 1, 3)["ok"]
+    monkeypatch.undo()
+    # a wrong character value in the shared brute-force kernel: z0_buckets
+    # keeps its own character loop, so the sieve identity still sees it
+    chi_hat = mds._BruteForceContext.chi_hat
+
+    def unsigned_at_xp1(self, profile):
+        v = chi_hat(self, profile)
+        return abs(v) if any(p == XP1 for p, _ in profile) else v
+
+    monkeypatch.setattr(mds._BruteForceContext, "chi_hat", unsigned_at_xp1)
+    assert not mds.check_sieve_identity(F5, 1, 3)["ok"]
+    assert not mds.compare_routes(F5, mds.TwistSpec(F5), 2, 3)["ok"]
+
+
 def test_fundamental_decomposition():
     for h, n in ((fq.P_ONE, 3), (X, 3)):
         for a2 in (1, THETA):

@@ -17,6 +17,23 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_no_numpy_import():
+    # the package depends on mpmath alone
+    found = []
+    for path in sorted(pathlib.Path(mdsforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "numpy"]
+    assert not found, found
+
+
 def _trees(directory):
     return [(path, ast.parse(path.read_text(), filename=str(path)))
             for path in sorted(pathlib.Path(directory).glob("*.py"))]
