@@ -15,8 +15,10 @@ coefficients are finite sums in Q(sqrt q).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import add
 
 from . import d4, fq, lseries
@@ -54,9 +56,7 @@ def chi(F: FqField, unit: int, monic_tops, m) -> int:
     """(unit * prod(monic_tops) / m) for monic m."""
     if not m:
         return 0
-    top = fq.P_ONE
-    for t in monic_tops:
-        top = fq.pmul(F, top, t)
+    top = _product(F, monic_tops)
     if unit != 1:
         top = fq.pscale(F, top, unit)
     return fq.kronecker(F, top, m)
@@ -244,9 +244,9 @@ def zc_buckets_vers0(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
 
 
 def _poly3_mul(a, b, cap):
-    """Product of {exponent triple: int} dicts, keeping exponents <= cap."""
+    """Product of {exponent triple: int} dicts, keeping total degree <= cap."""
     return accumulate((e, c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()
-                      if max(e := tuple(map(add, e1, e2))) <= cap)
+                      if sum(e := tuple(map(add, e1, e2))) <= cap)
 
 
 def zc_buckets_vers1(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
@@ -332,6 +332,27 @@ class _CentralContext:
         return s
 
 
+def _constant_term_product(F: FqField, tw: TwistSpec, rows, total_max: int):
+    """{(n1, n2, n3): sum over coprime (m1, m2, m3) of chi_{a1 c1}(n0) times
+    prod_P a(kk_P, 0), Q_kk's constant term at |P|}, as the Euler product of
+    1 + sum_(kk != 0) a(kk, 0) chi(P)**|kk| u**(deg P kk) to total degree
+    total_max; the N primes of one (deg P, chi(P)) give sum_j C(N, j) L**j."""
+    q, top = F.q, fq.pscale(F, tw.c1, tw.a1)
+    classes = Counter((fq.deg(m), lseries.prime_symbol(F, top, m))
+                      for row in rows for m, prof in row if prof == ((m, 1),))
+    out = {(0, 0, 0): 1}
+    for (k, s), count in classes.items():
+        piece = accumulate((tuple(k * x for x in kk),
+                            _correction_at_prime(kk, k, q ** k, 1).get((0,), 0) * s ** sum(kk))
+                           for kk in _degree_splits(total_max // k, 3) if any(kk))
+        power, factor = {(0, 0, 0): 1}, {(0, 0, 0): 1}
+        for j in range(1, min(count, total_max // k) + 1):
+            power = _poly3_mul(power, piece, total_max)
+            accumulate(((e, comb(count, j) * c) for e, c in power.items()), factor)
+        out = _poly3_mul(out, factor, total_max)
+    return out
+
+
 def zc_buckets_vers2(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
     """Group by the outer tuple: restricted central L-polynomial times the
     central correction polynomial.
@@ -339,15 +360,26 @@ def zc_buckets_vers2(F: FqField, tw: TwistSpec, n4_max: int, total_max: int):
     The tuples are read from the factor-profile table.  The square-free part
     n0 of m1 m2 m3 is the product of the primes of odd total multiplicity,
     so the correction polynomials of the tuples that share n0 (in one
-    degree bucket) are summed before one product with n0's L-series."""
+    degree bucket) are summed before one product with n0's L-series.
+
+    A split whose cap min(n4_max, total_max - n1 - n2 - n3) is 0 (the top
+    layer, or all when n4_max = 0) has only the bucket n4 = 0, where each
+    prime enters through Q_kk's constant term a(kk, 0) whatever its sign:
+    one Euler product gives those buckets.  It reads the Q_kk, as the tuples
+    do, so vers2 stays apart from vers0 (plain characters) and vers1 (P_l)."""
     q = F.q
     ctx = _CentralContext(F, tw)
+    profile_rows = _profile_rows(F, tw, total_max)
+    out = {(n1, n2, n3, 0): c for (n1, n2, n3), c in
+           _constant_term_product(F, tw, profile_rows, total_max).items()
+           if n4_max == 0 or n1 + n2 + n3 == total_max}
     rows = [[(prof, frozenset(p for p, k in prof if k % 2)) for _, prof in row]
-            for row in _profile_rows(F, tw, total_max)]
+            for row in profile_rows]
     pieces = {}  # (kk, deg p, s, cap) -> coefficients of t**0..t**cap
-    out = {}
     for n1, n2, n3 in _degree_splits(total_max, 3):
         cap = min(n4_max, total_max - n1 - n2 - n3)
+        if cap == 0:
+            continue
         by_n0 = {}
         for pr1, odd1 in rows[n1]:
             for pr2, odd2 in rows[n2]:
@@ -464,6 +496,9 @@ def sieved_t4_series(F: FqField, h, a2: int, n_max: int):
         cubes = {key: v ** 3 * s_d0 for key, v in values.items()}
         for e_deg in range((n_max - a) // 2 - dh + 1):
             n = a + 2 * (e_deg + dh)
+            if n == a:  # h = 1 and d1 = 1: every pd_value is 1
+                out[n] = sum((cubes[key] * c for key, c in Counter(keys).items()), out[n])
+                continue
             d1s = [fq.pmul(F, h, e) for e in fq.enumerate_monic(F, e_deg)]
             for d0, key in zip(fq.enumerate_monic(F, a, "squarefree"), keys):
                 for d1 in d1s:
@@ -510,13 +545,8 @@ def sieved_buckets(F: FqField, h, a2: int, total_max: int):
     dh = fq.deg(h)
     profiles = _monic_profiles((F.p, F.e), total_max)
     for n4 in range(2 * dh, total_max + 1):
-        for a in range(n4 + 1):
-            rem = n4 - a
-            if rem % 2:
-                continue
-            b = rem // 2
-            if b < dh:
-                continue
+        for a in range(n4 % 2, n4 - 2 * dh + 1, 2):
+            b = (n4 - a) // 2
             for d0 in fq.enumerate_monic(F, a, "squarefree"):
                 s_d0 = F.chi2[a2] ** a
                 ctx = _BruteForceContext(F, 1, fq.P_ONE, d0)

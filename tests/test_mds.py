@@ -122,8 +122,11 @@ def test_vers2_matches_product_oracle():
     twists = [(F5, tw) for tw in SERIES_TWISTS]
     twists += [(F9, mds.TwistSpec(F9, c1=X, a2=THETA9)),
                (F9, mds.TwistSpec(F9, c2=X, c3=XP1, a1=THETA9))]
-    for F, tw in twists:
-        assert mds.zc_buckets_vers2(F, tw, 2, 3) == _vers2_by_products(F, tw, 2, 3), tw
+    # at n4_max = 0 every bucket comes from the constant-term Euler product
+    for n4_max in (0, 2):
+        for F, tw in twists:
+            assert (mds.zc_buckets_vers2(F, tw, n4_max, 3)
+                    == _vers2_by_products(F, tw, n4_max, 3)), (n4_max, tw)
 
 
 def test_route_comparison_catches_planted_vers2_defects(monkeypatch):
@@ -137,6 +140,17 @@ def test_route_comparison_catches_planted_vers2_defects(monkeypatch):
             diffs = [d for tw in SERIES_TWISTS
                      for d in mds.compare_routes(F5, tw, n4_max=2, total_max=3)["diffs"]]
         assert diffs, defect[0]
+
+
+def test_route_comparison_catches_a_sign_free_constant_term_product(monkeypatch):
+    # chi(P)**|kk| dropped from the Euler product of the cap-0 layer: feeding
+    # it a1 c1 = 1 makes every chi(P) = 1 but keeps the primes coprime to c
+    product = mds._constant_term_product
+    monkeypatch.setattr(mds, "_constant_term_product", lambda F, tw, rows, total_max:
+                        product(F, mds.TwistSpec(F), rows, total_max))
+    diffs = [len(mds.compare_routes(F5, tw, 2, 3)["diffs"]) for tw in SERIES_TWISTS]
+    # the first twist has a1 c1 = 1, so there the defect changes nothing
+    assert diffs[0] == 0 and all(diffs[1:]), diffs
 
 
 def test_central_series_normalization():
@@ -185,6 +199,29 @@ def test_perturbed_pl_center_value_fails_the_centre_oracle(monkeypatch):
     monkeypatch.setattr(mds, "pl_center_value",
                         lambda l, degp, sign, q: pl(l, degp, sign, q) * (2 if l == 2 else 1))
     assert mds.zc_t4_series(F5, mds.TwistSpec(F5), 4) != d4.explicit_center_t4_series(5, 4)
+
+
+def _sieved_t4_series_per_pair(F, h, a2, n_max):
+    """Oracle: the sieved central series with one central_value per d0 and
+    one pd_value per (d0, d1)."""
+    dh = fq.deg(h)
+    out = [QuadValue(F.q, 0, 0) for _ in range(n_max + 1)]
+    for a in range(n_max - 2 * dh + 1):
+        for d0 in fq.enumerate_monic(F, a, "squarefree"):
+            cube = lseries.central_value(F, d0) ** 3 * F.chi2[a2] ** a
+            for e_deg in range((n_max - a) // 2 - dh + 1):
+                n = a + 2 * (dh + e_deg)
+                for e in fq.enumerate_monic(F, e_deg):
+                    out[n] = out[n] + cube * mds.pd_value(F, d0, fq.pmul(F, h, e), d0)
+    return out
+
+
+@pytest.mark.parametrize("F,n_max", [(F5, 5), (F9, 3)], ids=["q5", "q9"])
+def test_sieved_series_matches_per_pair_oracle(F, n_max):
+    for h in (fq.P_ONE, X):
+        for a2 in (1, F.nonsquare_unit):
+            assert (mds.sieved_t4_series(F, h, a2, n_max)
+                    == _sieved_t4_series_per_pair(F, h, a2, n_max)), (h, a2)
 
 
 def test_sieved_series_h1_equals_untwisted():
